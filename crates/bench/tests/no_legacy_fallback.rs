@@ -11,10 +11,6 @@
 //! change reintroduces a silent legacy escape hatch and wires it to the
 //! counter, both tiers fail loudly.
 
-// The tripwire is a traced counter; without the obs feature every counter
-// reads zero and the assertions are vacuous, so the suite only runs with
-// the real recorder compiled in (same gate as the trace golden tests).
-#![cfg(feature = "obs")]
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use picola_baselines::NaturalEncoder;

@@ -24,10 +24,12 @@ pub struct EngineConfig {
     /// refine engine).
     pub picola: PicolaOptions,
     /// Options of the evaluation pipeline (minimizer, cover engine, cache).
+    /// `eval.cache = false` is the memo's off switch: every job then
+    /// recomputes each constraint function and never touches the memo.
     pub eval: EvalOptions,
     /// Total entry budget of the shared minimization memo; `None` takes
     /// [`picola_logic::DEFAULT_CACHE_CAPACITY`]. The deployment knob behind
-    /// the CLI's `--cache-capacity`.
+    /// the CLI's `--cache-capacity`. Full shards evict by epoch.
     pub cache_capacity: Option<usize>,
     /// Shard count of the shared memo; `None` takes
     /// [`picola_logic::DEFAULT_CACHE_SHARDS`].
@@ -153,15 +155,10 @@ impl EngineHandle {
         self.inner.global.stats()
     }
 
-    /// Builds an [`EvalContext`] wired to the shared memo — honoring the
-    /// config's `cache` switch (off = private uncached context, for the
-    /// differential cache-on/off legs).
+    /// Builds an [`EvalContext`] over the shared memo (which evaluation
+    /// leaves untouched when the config's `eval.cache` is off).
     fn eval_context(&self) -> EvalContext {
-        if self.inner.config.eval.cache {
-            EvalContext::with_global(self.global_cache())
-        } else {
-            EvalContext::new()
-        }
+        EvalContext::with_global(self.global_cache())
     }
 
     /// Runs one job to completion (or graceful degradation) under `budget`.
@@ -253,7 +250,6 @@ mod tests {
             u64::try_from(2 * v1.evaluated).expect("fits"),
             "conservation across both runs"
         );
-        #[cfg(feature = "minimize-cache")]
         assert!(stats.hits >= u64::try_from(v1.evaluated).expect("fits"));
     }
 

@@ -53,52 +53,45 @@ impl Default for EvalOptions {
     }
 }
 
-/// Long-lived state threaded through repeated evaluations: the minimization
-/// memo plus its scratch pool. Search loops (ENC probes, portfolio sweeps)
-/// keep one context per run so repeat covers cost a hash lookup and the
-/// steady state allocates nothing.
+/// Long-lived state threaded through repeated evaluations: a minimization
+/// memo plus this caller's view over it (key and scratch buffers, hit/miss
+/// tallies). Search loops (ENC probes, portfolio sweeps) keep one context
+/// per run so repeat covers cost a hash lookup and the steady state
+/// allocates nothing.
 ///
-/// By default the memo is per-run, never shared: traces stay independent of
-/// thread count and interleaving. A long-running server instead attaches a
-/// shared [`GlobalMinimizeCache`] via [`EvalContext::with_global`] so repeat
-/// covers hit *across* requests; results stay bit-identical (the global
-/// cache preserves the exact order-sensitive keying), only the work differs.
-#[derive(Debug, Default)]
+/// [`EvalContext::new`] gets a fresh memo of its own, so traces stay
+/// independent of thread count and interleaving. A long-running server
+/// instead hands every request the engine's shared memo via
+/// [`EvalContext::with_global`] so repeat covers hit *across* requests;
+/// results stay bit-identical (the memo keys on the exact order-sensitive
+/// cover sequence), only the work differs.
+#[derive(Debug)]
 pub struct EvalContext {
-    /// The memoized minimization cache (also the scratch/key buffer pool
-    /// when a global cache is attached).
+    /// This context's view over `memo`: the key/scratch buffers and the
+    /// hit/miss tallies of the evaluations it ran.
     pub cache: MinimizeCache,
-    /// Cross-request shared memo; `None` keeps the per-run memo authoritative.
-    global: Option<Arc<GlobalMinimizeCache>>,
+    memo: Arc<GlobalMinimizeCache>,
+}
+
+impl Default for EvalContext {
+    fn default() -> Self {
+        EvalContext::new()
+    }
 }
 
 impl EvalContext {
-    /// A fresh (cold) context.
+    /// A fresh context over a fresh, unshared (cold) memo.
     pub fn new() -> EvalContext {
-        EvalContext::default()
+        EvalContext::with_global(Arc::new(GlobalMinimizeCache::new()))
     }
 
-    /// A fresh context whose per-run memo stops inserting at `capacity`
-    /// entries (the deployment knob behind `--cache-capacity`).
-    pub fn with_cache_capacity(capacity: usize) -> EvalContext {
-        EvalContext {
-            cache: MinimizeCache::with_capacity(capacity),
-            global: None,
-        }
-    }
-
-    /// A fresh context that answers cached minimizations from `global`
-    /// instead of its private memo, sharing warm entries across requests.
+    /// A fresh context that answers cached minimizations from `global`,
+    /// sharing warm entries with every other context over it.
     pub fn with_global(global: Arc<GlobalMinimizeCache>) -> EvalContext {
         EvalContext {
             cache: MinimizeCache::new(),
-            global: Some(global),
+            memo: global,
         }
-    }
-
-    /// The attached shared cache, if any.
-    pub fn global(&self) -> Option<&Arc<GlobalMinimizeCache>> {
-        self.global.as_ref()
     }
 }
 
@@ -306,13 +299,12 @@ pub fn evaluate_encoding_cached(
         let (on, dc) = enc.constraint_function(&dom, c.members());
         let cubes = match opts.minimizer {
             EvalMinimizer::Espresso => {
-                if !opts.cache {
-                    ctx.cache.minimized_cube_count_uncached(&on, &dc, opts.engine)
-                } else if let Some(global) = &ctx.global {
+                if opts.cache {
                     ctx.cache
-                        .minimized_cube_count_shared(global, &on, &dc, opts.engine)
+                        .minimized_cube_count(&ctx.memo, &on, &dc, opts.engine)
                 } else {
-                    ctx.cache.minimized_cube_count(&on, &dc, opts.engine)
+                    ctx.cache
+                        .minimized_cube_count_uncached(&on, &dc, opts.engine)
                 }
             }
             EvalMinimizer::Exact { max_nodes } => match exact_minimize(&on, &dc, max_nodes) {

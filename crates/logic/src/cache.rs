@@ -1,4 +1,5 @@
-//! Memoized minimization: [`MinimizeCache`] and the [`CoverEngine`]
+//! Memoized minimization: the [`GlobalMinimizeCache`] memo, the
+//! per-caller [`MinimizeCache`] view over it, and the [`CoverEngine`]
 //! selector.
 //!
 //! The evaluation pipeline prices an encoding by minimizing the encoded
@@ -16,11 +17,15 @@
 //! an uncached run would not. Because ESPRESSO is deterministic on a given
 //! input sequence, every process — regardless of thread count or call
 //! order — computes the same value for a given key, so cache hits can never
-//! change a result, only skip recomputation. The capacity bound only stops
-//! *inserting* (deterministically, by call order), never evicts, so a warm
-//! entry stays warm. With the `minimize-cache` feature disabled the map is
-//! compiled out and every call is an honest miss; results are bit-identical
-//! either way, which the differential tests assert.
+//! change a result, only skip recomputation. Eviction, sharing and
+//! poisoned shards therefore change work, never answers; the differential
+//! tests assert that against the uncached reference leg.
+//!
+//! One memo type serves every caller. A single run (an ENC search, a
+//! one-shot evaluation) owns a fresh, unshared [`GlobalMinimizeCache`];
+//! the daemon shares one across requests. Either way the caller prices
+//! through its own [`MinimizeCache`], which holds only the key and scratch
+//! buffers and that caller's hit/miss tallies.
 //!
 //! Observability: every call bumps [`obs::Counter::MinimizeCalls`] and
 //! exactly one of [`obs::Counter::MinimizeCacheHit`] /
@@ -35,7 +40,6 @@ use crate::cover::Cover;
 use crate::espresso::{espresso_bounded, MinimizeOptions};
 use crate::flat::{flat_minimized_len, MinimizeScratch};
 use crate::obs;
-#[cfg(feature = "minimize-cache")]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -69,48 +73,23 @@ impl CoverEngine {
 /// Default maximum number of memoized entries.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// A deterministic memo of minimized cube counts (see the module docs for
-/// the determinism argument).
-///
-/// The cache owns its [`MinimizeScratch`], so a long-lived cache makes the
-/// whole evaluate path allocation-free after warm-up. It is intentionally
-/// *not* shared globally or thread-locally: every run owns its cache so
-/// traces stay independent of thread count and scheduling.
-#[derive(Debug)]
+/// A per-caller view over a [`GlobalMinimizeCache`]: the key buffer and
+/// the minimizer scratch, so the steady state allocates nothing, plus this
+/// caller's hit/miss tallies. The memo itself is the argument of each
+/// lookup — a fresh unshared one for a single run, or a daemon's shared
+/// one — so per-run statistics stay meaningful either way.
+#[derive(Debug, Default)]
 pub struct MinimizeCache {
-    #[cfg(feature = "minimize-cache")]
-    map: HashMap<Vec<u64>, usize>,
-    capacity: usize,
     hits: u64,
     misses: u64,
     key: Vec<u64>,
     scratch: MinimizeScratch,
 }
 
-impl Default for MinimizeCache {
-    fn default() -> Self {
-        MinimizeCache::new()
-    }
-}
-
 impl MinimizeCache {
-    /// A fresh cache with [`DEFAULT_CACHE_CAPACITY`].
+    /// A fresh view with zeroed tallies and empty buffers.
     pub fn new() -> MinimizeCache {
-        MinimizeCache::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// A fresh cache that stops inserting once `capacity` entries are
-    /// memoized (it never evicts, so results stay deterministic).
-    pub fn with_capacity(capacity: usize) -> MinimizeCache {
-        MinimizeCache {
-            #[cfg(feature = "minimize-cache")]
-            map: HashMap::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-            key: Vec::new(),
-            scratch: MinimizeScratch::new(),
-        }
+        MinimizeCache::default()
     }
 
     /// Lookups answered from the memo so far.
@@ -123,95 +102,50 @@ impl MinimizeCache {
         self.misses
     }
 
-    /// Number of memoized entries (always 0 with the `minimize-cache`
-    /// feature disabled).
-    pub fn len(&self) -> usize {
-        #[cfg(feature = "minimize-cache")]
-        {
-            self.map.len()
-        }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            0
-        }
-    }
-
-    /// Whether no entries are memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Minimized cube count of `(on, dc)` under `engine`, answered through
-    /// a **shared** [`GlobalMinimizeCache`] instead of this cache's private
-    /// memo. This cache contributes only its key/scratch buffers (so the
-    /// steady state still allocates nothing) and its hit/miss tallies, which
-    /// keep per-run statistics meaningful in a server that shares one global
-    /// cache across requests.
+    /// `memo`.
     ///
-    /// Counter discipline is identical to [`MinimizeCache::minimized_cube_count`]:
-    /// one `MinimizeCalls` bump plus exactly one of hit/miss, and a hit
-    /// performs zero budget work. Chaos point `cache.shard` simulates a
-    /// poisoned shard: the global map is bypassed and the call degrades to
-    /// an honest miss (computed locally, never inserted) — bit-identical
-    /// results, just slower.
-    pub fn minimized_cube_count_shared(
+    /// Bumps `MinimizeCalls` plus exactly one of `MinimizeCacheHit` /
+    /// `MinimizeCacheMiss`, and a hit performs zero budget work. Chaos
+    /// point `cache.shard` simulates a poisoned shard: the memo is
+    /// bypassed and the call degrades to an honest miss (computed locally,
+    /// never inserted) — bit-identical results, just slower.
+    pub fn minimized_cube_count(
         &mut self,
-        global: &GlobalMinimizeCache,
+        memo: &GlobalMinimizeCache,
         on: &Cover,
         dc: &Cover,
         engine: CoverEngine,
     ) -> usize {
         obs::count(obs::Counter::MinimizeCalls, 1);
-        global.calls.fetch_add(1, Ordering::Relaxed);
+        memo.calls.fetch_add(1, Ordering::Relaxed);
         self.build_key(on, dc, engine);
         if chaos::should_fire("cache.shard") {
             // Shard poisoned: degrade to a miss without touching the map.
-            global.poison_bypasses.fetch_add(1, Ordering::Relaxed);
+            memo.poison_bypasses.fetch_add(1, Ordering::Relaxed);
             self.misses += 1;
-            global.misses.fetch_add(1, Ordering::Relaxed);
+            memo.misses.fetch_add(1, Ordering::Relaxed);
             obs::count(obs::Counter::MinimizeCacheMiss, 1);
             return self.run(on, dc, engine);
         }
-        if let Some(n) = global.lookup(&self.key) {
+        if let Some(n) = memo.lookup(&self.key) {
             self.hits += 1;
-            global.hits.fetch_add(1, Ordering::Relaxed);
+            memo.hits.fetch_add(1, Ordering::Relaxed);
             obs::count(obs::Counter::MinimizeCacheHit, 1);
             return n;
         }
         self.misses += 1;
-        global.misses.fetch_add(1, Ordering::Relaxed);
+        memo.misses.fetch_add(1, Ordering::Relaxed);
         obs::count(obs::Counter::MinimizeCacheMiss, 1);
         let n = self.run(on, dc, engine);
-        global.insert(&self.key, n);
-        n
-    }
-
-    /// Minimized cube count of `(on, dc)` under `engine`, memoized.
-    ///
-    /// Bumps `MinimizeCalls` plus exactly one of `MinimizeCacheHit` /
-    /// `MinimizeCacheMiss`. A hit performs no budget work at all.
-    pub fn minimized_cube_count(&mut self, on: &Cover, dc: &Cover, engine: CoverEngine) -> usize {
-        obs::count(obs::Counter::MinimizeCalls, 1);
-        self.build_key(on, dc, engine);
-        #[cfg(feature = "minimize-cache")]
-        if let Some(&n) = self.map.get(self.key.as_slice()) {
-            self.hits += 1;
-            obs::count(obs::Counter::MinimizeCacheHit, 1);
-            return n;
-        }
-        self.misses += 1;
-        obs::count(obs::Counter::MinimizeCacheMiss, 1);
-        let n = self.run(on, dc, engine);
-        #[cfg(feature = "minimize-cache")]
-        if self.map.len() < self.capacity {
-            self.map.insert(self.key.clone(), n);
-        }
+        memo.insert(&self.key, n);
         n
     }
 
     /// [`MinimizeCache::minimized_cube_count`] without consulting or
-    /// populating the memo — the cache-off leg of A/B comparisons, with the
-    /// same counter discipline (every call is a miss).
+    /// populating any memo — the reference leg of differential tests and
+    /// A/B comparisons, with the same counter discipline (every call is a
+    /// miss).
     pub fn minimized_cube_count_uncached(
         &mut self,
         on: &Cover,
@@ -269,8 +203,8 @@ pub struct CacheStats {
     pub calls: u64,
     /// Lookups answered from a shard without running the minimizer.
     pub hits: u64,
-    /// Lookups that ran the minimizer (cold entry, evicted entry, feature
-    /// disabled, or a poisoned/chaos-bypassed shard).
+    /// Lookups that ran the minimizer (cold entry, evicted entry, or a
+    /// poisoned/chaos-bypassed shard).
     pub misses: u64,
     /// Lookups that bypassed the map because a shard was poisoned (real
     /// lock poisoning or the `cache.shard` chaos point). Always ≤ `misses`.
@@ -288,7 +222,7 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// One shard of the global memo: two generations of entries under a mutex.
+/// One shard of the memo: two generations of entries under a mutex.
 ///
 /// Eviction is *epoch-based*: when the live generation fills its per-shard
 /// budget, the shard advances its epoch — the previous generation is
@@ -301,34 +235,29 @@ pub struct CacheStats {
 /// cube sequence), so the cache can change only *work*, never results.
 #[derive(Debug, Default)]
 struct Shard {
-    #[cfg(feature = "minimize-cache")]
     live: HashMap<Vec<u64>, usize>,
-    #[cfg(feature = "minimize-cache")]
     prev: HashMap<Vec<u64>, usize>,
     epoch: u64,
 }
 
-/// A concurrent, sharded, capacity-bounded memo of minimized cube counts,
-/// shared across requests by a long-running server.
-///
-/// Same keying and determinism contract as [`MinimizeCache`] (exact
-/// engine + domain + cube-sequence signature; see the module docs), but:
+/// A concurrent, sharded, capacity-bounded memo of minimized cube counts —
+/// the one memo type. A single run owns a fresh one; a long-running server
+/// shares one across requests. Callers look up through a
+/// [`MinimizeCache`] view, which builds the exact engine + domain +
+/// cube-sequence key (see the module docs). The memo is:
 ///
 /// * **Sharded** — keys are distributed over lock-striped shards by a
 ///   64-bit FNV-1a hash of the signature words, so concurrent workers
 ///   rarely contend. The minimizer never runs under a shard lock; a miss
 ///   computes outside and inserts afterwards (duplicate concurrent
 ///   computes of one key are benign: same value).
-/// * **Epoch-evicting** — unlike the per-run cache's insert-only bound,
-///   shards retire their oldest generation when full (see [`Shard`]), so a
-///   server that sees millions of distinct covers keeps a bounded, hot
-///   working set instead of freezing on the first `capacity` entries.
+/// * **Epoch-evicting** — shards retire their oldest generation when full
+///   (see [`Shard`]), so a server that sees millions of distinct covers
+///   keeps a bounded, hot working set instead of freezing on the first
+///   `capacity` entries.
 /// * **Poison-safe** — a worker that panics while holding a shard lock (or
 ///   the `cache.shard` chaos point) degrades lookups to honest misses; the
 ///   poisoned shard's entries are discarded and the shard keeps serving.
-///
-/// With the `minimize-cache` feature disabled the maps compile out and
-/// every lookup is an honest miss, exactly like the per-run cache.
 #[derive(Debug)]
 pub struct GlobalMinimizeCache {
     shards: Box<[Mutex<Shard>]>,
@@ -351,19 +280,19 @@ impl Default for GlobalMinimizeCache {
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
 impl GlobalMinimizeCache {
-    /// A fresh global cache with [`DEFAULT_CACHE_CAPACITY`] total entries
+    /// A fresh memo with [`DEFAULT_CACHE_CAPACITY`] total entries
     /// over [`DEFAULT_CACHE_SHARDS`] shards.
     pub fn new() -> GlobalMinimizeCache {
         GlobalMinimizeCache::with_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// A fresh global cache bounded to roughly `capacity` total entries
+    /// A fresh memo bounded to roughly `capacity` total entries
     /// (over [`DEFAULT_CACHE_SHARDS`] shards).
     pub fn with_capacity(capacity: usize) -> GlobalMinimizeCache {
         GlobalMinimizeCache::with_capacity_and_shards(capacity, DEFAULT_CACHE_SHARDS)
     }
 
-    /// A fresh global cache bounded to roughly `capacity` total entries
+    /// A fresh memo bounded to roughly `capacity` total entries
     /// distributed over `shards` lock-striped shards (both clamped to at
     /// least 1; capacities below `2 * shards` round up so every shard can
     /// hold at least one entry per generation).
@@ -390,12 +319,7 @@ impl GlobalMinimizeCache {
         for shard in self.shards.iter() {
             if let Ok(s) = shard.lock() {
                 epoch_advances += s.epoch;
-                #[cfg(feature = "minimize-cache")]
-                {
-                    entries += s.live.len() + s.prev.len();
-                }
-                #[cfg(not(feature = "minimize-cache"))]
-                let _ = &s;
+                entries += s.live.len() + s.prev.len();
             }
         }
         CacheStats {
@@ -410,7 +334,7 @@ impl GlobalMinimizeCache {
         }
     }
 
-    /// Total memoized entries (0 with the `minimize-cache` feature off).
+    /// Total memoized entries over all shards.
     pub fn len(&self) -> usize {
         self.stats().entries
     }
@@ -453,46 +377,30 @@ impl GlobalMinimizeCache {
 
     /// Looks `key` up; a hit in the previous generation is promoted into
     /// the live one. Does not touch the hit/miss tallies — the calling
-    /// [`MinimizeCache::minimized_cube_count_shared`] owns the counter
+    /// [`MinimizeCache::minimized_cube_count`] owns the counter
     /// discipline.
-    #[cfg_attr(not(feature = "minimize-cache"), allow(unused_variables))]
     fn lookup(&self, key: &[u64]) -> Option<usize> {
-        #[cfg(feature = "minimize-cache")]
-        {
-            let index = self.shard_index(key);
-            let mut shard = self.shard(index);
-            if let Some(&n) = shard.live.get(key) {
-                return Some(n);
-            }
-            if let Some(n) = shard.prev.remove(key) {
-                // Promote: hot entries survive any number of epochs. The
-                // live generation may momentarily exceed its budget here;
-                // the next insert rebalances.
-                shard.live.insert(key.to_vec(), n);
-                return Some(n);
-            }
-            None
+        let mut shard = self.shard(self.shard_index(key));
+        if let Some(&n) = shard.live.get(key) {
+            return Some(n);
         }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            None
-        }
+        // Promote: hot entries survive any number of epochs. The live
+        // generation may momentarily exceed its budget here; the next
+        // insert rebalances.
+        let n = shard.prev.remove(key)?;
+        shard.live.insert(key.to_vec(), n);
+        Some(n)
     }
 
     /// Inserts `key → value`, advancing the shard's epoch (retiring the
     /// previous generation) when the live one is full.
-    #[cfg_attr(not(feature = "minimize-cache"), allow(unused_variables))]
     fn insert(&self, key: &[u64], value: usize) {
-        #[cfg(feature = "minimize-cache")]
-        {
-            let index = self.shard_index(key);
-            let mut shard = self.shard(index);
-            if shard.live.len() >= self.shard_capacity {
-                shard.epoch = shard.epoch.saturating_add(1);
-                shard.prev = std::mem::take(&mut shard.live);
-            }
-            shard.live.insert(key.to_vec(), value);
+        let mut shard = self.shard(self.shard_index(key));
+        if shard.live.len() >= self.shard_capacity {
+            shard.epoch = shard.epoch.saturating_add(1);
+            shard.prev = std::mem::take(&mut shard.live);
         }
+        shard.live.insert(key.to_vec(), value);
     }
 }
 
@@ -535,15 +443,25 @@ mod tests {
         c
     }
 
+    /// A fresh view's uncached answer — the reference every memoized
+    /// answer must equal.
+    fn fresh(on: &Cover, dc: &Cover, engine: CoverEngine) -> usize {
+        MinimizeCache::new().minimized_cube_count_uncached(on, dc, engine)
+    }
+
     #[test]
     fn cache_returns_minimizer_result() {
         let dom = Domain::binary(3);
         let on = cover_from_codes(&dom, 3, &[0, 1, 2, 3]);
         let dc = Cover::empty(&dom);
         let expected = espresso(&on, &dc).len();
+        let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
         for engine in [CoverEngine::Flat, CoverEngine::Legacy] {
-            assert_eq!(cache.minimized_cube_count(&on, &dc, engine), expected);
+            assert_eq!(
+                cache.minimized_cube_count(&memo, &on, &dc, engine),
+                expected
+            );
         }
     }
 
@@ -552,21 +470,14 @@ mod tests {
         let dom = Domain::binary(3);
         let on = cover_from_codes(&dom, 3, &[0, 5, 7]);
         let dc = cover_from_codes(&dom, 3, &[1]);
+        let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let a = cache.minimized_cube_count(&on, &dc, CoverEngine::Flat);
-        let b = cache.minimized_cube_count(&on, &dc, CoverEngine::Flat);
+        let a = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
+        let b = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
         assert_eq!(a, b);
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(cache.misses(), 1);
-            assert_eq!(cache.hits(), 1);
-            assert_eq!(cache.len(), 1);
-        }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            assert_eq!(cache.hits(), 0);
-            assert_eq!(cache.misses(), 2);
-        }
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]
@@ -575,18 +486,22 @@ mod tests {
         let on_a = cover_from_codes(&dom, 3, &[0, 5, 7]);
         let on_b = cover_from_codes(&dom, 3, &[7, 0, 5]);
         let dc = Cover::empty(&dom);
+        let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let a = cache.minimized_cube_count(&on_a, &dc, CoverEngine::Flat);
-        let b = cache.minimized_cube_count(&on_b, &dc, CoverEngine::Flat);
+        let a = cache.minimized_cube_count(&memo, &on_a, &dc, CoverEngine::Flat);
+        let b = cache.minimized_cube_count(&memo, &on_b, &dc, CoverEngine::Flat);
         // each order computes its own entry; repeating either order hits it
-        assert_eq!(cache.minimized_cube_count(&on_a, &dc, CoverEngine::Flat), a);
-        assert_eq!(cache.minimized_cube_count(&on_b, &dc, CoverEngine::Flat), b);
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(cache.len(), 2);
-            assert_eq!(cache.misses(), 2);
-            assert_eq!(cache.hits(), 2);
-        }
+        assert_eq!(
+            cache.minimized_cube_count(&memo, &on_a, &dc, CoverEngine::Flat),
+            a
+        );
+        assert_eq!(
+            cache.minimized_cube_count(&memo, &on_b, &dc, CoverEngine::Flat),
+            b
+        );
+        assert_eq!(memo.len(), 2);
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.hits(), 2);
     }
 
     /// Regression for the order-sensitivity bug: ESPRESSO can minimize a
@@ -601,62 +516,17 @@ mod tests {
         let mut reversed = codes;
         reversed.reverse();
         let dc = cover_from_codes(&dom, 3, &[1]);
+        let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
         for order in [&codes[..], &reversed[..]] {
             let on = cover_from_codes(&dom, 3, order);
             for engine in [CoverEngine::Flat, CoverEngine::Legacy] {
-                let fresh =
-                    MinimizeCache::new().minimized_cube_count_uncached(&on, &dc, engine);
-                // first lookup (a miss) and second lookup (a hit with the
-                // feature on) must both agree with the uncached run
-                assert_eq!(cache.minimized_cube_count(&on, &dc, engine), fresh);
-                assert_eq!(cache.minimized_cube_count(&on, &dc, engine), fresh);
+                let fresh = fresh(&on, &dc, engine);
+                // first lookup (a miss) and second lookup (a hit) must both
+                // agree with the uncached run
+                assert_eq!(cache.minimized_cube_count(&memo, &on, &dc, engine), fresh);
+                assert_eq!(cache.minimized_cube_count(&memo, &on, &dc, engine), fresh);
             }
-        }
-    }
-
-    #[test]
-    fn capacity_bounds_insertions_without_evicting() {
-        let dom = Domain::binary(3);
-        let dc = Cover::empty(&dom);
-        let mut cache = MinimizeCache::with_capacity(1);
-        let on_a = cover_from_codes(&dom, 3, &[0]);
-        let on_b = cover_from_codes(&dom, 3, &[1]);
-        let _ = cache.minimized_cube_count(&on_a, &dc, CoverEngine::Flat);
-        let _ = cache.minimized_cube_count(&on_b, &dc, CoverEngine::Flat);
-        let _ = cache.minimized_cube_count(&on_a, &dc, CoverEngine::Flat);
-        assert!(cache.len() <= 1);
-        #[cfg(feature = "minimize-cache")]
-        {
-            // the first cover stays warm; the second never inserts
-            assert_eq!(cache.hits(), 1);
-            assert_eq!(cache.misses(), 2);
-        }
-    }
-
-    /// Regression for the capacity *boundary*: the bound is `len() <
-    /// capacity`, so the insert that lands exactly at capacity must still
-    /// be memoized (off-by-one here silently wasted the last slot), and
-    /// the first insert past capacity must be the one refused.
-    #[test]
-    fn insert_at_exactly_capacity_is_memoized() {
-        let dom = Domain::binary(3);
-        let dc = Cover::empty(&dom);
-        let mut cache = MinimizeCache::with_capacity(2);
-        let covers: Vec<Cover> =
-            (0..3).map(|i| cover_from_codes(&dom, 3, &[i])).collect();
-        for on in &covers {
-            let _ = cache.minimized_cube_count(on, &dc, CoverEngine::Flat);
-        }
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(cache.len(), 2, "slot at exactly capacity is used");
-            // repeats: the two memoized covers hit, the refused third misses
-            for on in &covers {
-                let _ = cache.minimized_cube_count(on, &dc, CoverEngine::Flat);
-            }
-            assert_eq!(cache.hits(), 2);
-            assert_eq!(cache.misses(), 4);
         }
     }
 
@@ -668,34 +538,23 @@ mod tests {
         let global = GlobalMinimizeCache::new();
         let mut run_a = MinimizeCache::new();
         let mut run_b = MinimizeCache::new();
-        let a = run_a.minimized_cube_count_shared(&global, &on, &dc, CoverEngine::Flat);
-        // a *different* per-run cache sees the global entry
-        let b = run_b.minimized_cube_count_shared(&global, &on, &dc, CoverEngine::Flat);
+        let a = run_a.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
+        // a *different* per-run view sees the shared entry
+        let b = run_b.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
         assert_eq!(a, b);
-        let uncached = MinimizeCache::new().minimized_cube_count_uncached(
-            &on,
-            &dc,
-            CoverEngine::Flat,
+        assert_eq!(
+            a,
+            fresh(&on, &dc, CoverEngine::Flat),
+            "shared hits stay bit-identical to uncached"
         );
-        assert_eq!(a, uncached, "shared hits stay bit-identical to uncached");
         let stats = global.stats();
         assert_eq!(stats.hits + stats.misses, 2, "conservation across shards");
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(stats.hits, 1);
-            assert_eq!(stats.misses, 1);
-            assert_eq!(run_b.hits(), 1, "per-run tallies still meaningful");
-            assert_eq!(global.len(), 1);
-        }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            assert_eq!(stats.hits, 0);
-            assert_eq!(stats.misses, 2);
-            assert!(global.is_empty());
-        }
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 1);
+        assert_eq!(run_b.hits(), 1, "per-run tallies still meaningful");
+        assert_eq!(global.len(), 1);
     }
 
-    #[cfg(feature = "minimize-cache")]
     #[test]
     fn global_cache_epoch_eviction_keeps_hot_entries() {
         let dom = Domain::binary(4);
@@ -705,12 +564,12 @@ mod tests {
         let global = GlobalMinimizeCache::with_capacity_and_shards(2, 1);
         let mut cache = MinimizeCache::new();
         let hot = cover_from_codes(&dom, 4, &[0, 3]);
-        let _ = cache.minimized_cube_count_shared(&global, &hot, &dc, CoverEngine::Flat);
+        let _ = cache.minimized_cube_count(&global, &hot, &dc, CoverEngine::Flat);
         for i in 1..8u32 {
             let cold = cover_from_codes(&dom, 4, &[i]);
-            let _ = cache.minimized_cube_count_shared(&global, &cold, &dc, CoverEngine::Flat);
+            let _ = cache.minimized_cube_count(&global, &cold, &dc, CoverEngine::Flat);
             // touching the hot cover promotes it out of the retiring generation
-            let _ = cache.minimized_cube_count_shared(&global, &hot, &dc, CoverEngine::Flat);
+            let _ = cache.minimized_cube_count(&global, &hot, &dc, CoverEngine::Flat);
         }
         let stats = global.stats();
         assert!(stats.epoch_advances > 0, "evictions actually happened");
@@ -733,23 +592,25 @@ mod tests {
         let dc = Cover::empty(&dom);
         let global = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let clean = cache.minimized_cube_count_shared(&global, &on, &dc, CoverEngine::Flat);
+        let clean = cache.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
         let poisoned = {
             let _guard = chaos::arm("cache.shard", 0);
-            cache.minimized_cube_count_shared(&global, &on, &dc, CoverEngine::Flat)
+            cache.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat)
         };
         assert_eq!(poisoned, clean, "poisoned shard changes work, not results");
         let stats = global.stats();
         assert_eq!(stats.poison_bypasses, 1);
-        assert_eq!(stats.hits + stats.misses, 2, "bypass still counted as a miss");
+        assert_eq!(
+            stats.hits + stats.misses,
+            2,
+            "bypass still counted as a miss"
+        );
         // disarmed again: the entry (inserted by the clean miss) hits
-        let after = cache.minimized_cube_count_shared(&global, &on, &dc, CoverEngine::Flat);
+        let after = cache.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
         assert_eq!(after, clean);
-        #[cfg(feature = "minimize-cache")]
         assert_eq!(global.stats().hits, 1);
     }
 
-    #[cfg(feature = "minimize-cache")]
     #[test]
     fn global_cache_is_usable_concurrently() {
         use std::sync::Arc;
@@ -766,7 +627,7 @@ mod tests {
                     for i in 0..8u32 {
                         // every thread prices the same 8 covers
                         let on = cover_from_codes(&dom, 4, &[i, (i + t) % 8]);
-                        counts.push(cache.minimized_cube_count_shared(
+                        counts.push(cache.minimized_cube_count(
                             &global,
                             &on,
                             &dc,
@@ -786,12 +647,7 @@ mod tests {
             let dc = Cover::empty(&dom);
             for (i, &n) in counts.iter().enumerate() {
                 let on = cover_from_codes(&dom, 4, &[i as u32, (i as u32 + t as u32) % 8]);
-                let fresh = MinimizeCache::new().minimized_cube_count_uncached(
-                    &on,
-                    &dc,
-                    CoverEngine::Flat,
-                );
-                assert_eq!(n, fresh);
+                assert_eq!(n, fresh(&on, &dc, CoverEngine::Flat));
             }
         }
         let stats = global.stats();
@@ -809,7 +665,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
-        assert!(cache.is_empty());
     }
 
     /// Re-interprets a cover's exact raw cube words in another domain of
@@ -818,7 +673,9 @@ mod tests {
         assert_eq!(cover.domain().words(), dom.words());
         Cover::from_cubes(
             dom,
-            cover.iter().map(|c| Cube::from_raw_words(c.words().to_vec())),
+            cover
+                .iter()
+                .map(|c| Cube::from_raw_words(c.words().to_vec())),
         )
     }
 
@@ -836,18 +693,35 @@ mod tests {
         let d2 = crate::domain::DomainBuilder::new().multi("s", 4).build();
         let on2 = reinterpret(&on1, &d2);
         let dc2 = Cover::empty(&d2);
-        assert_eq!(on1.iter().next().unwrap().words(), on2.iter().next().unwrap().words());
+        assert_eq!(
+            on1.iter().next().unwrap().words(),
+            on2.iter().next().unwrap().words()
+        );
 
+        let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let c1 = cache.minimized_cube_count(&on1, &dc1, CoverEngine::Flat);
-        let c2 = cache.minimized_cube_count(&on2, &dc2, CoverEngine::Flat);
+        let c1 = cache.minimized_cube_count(&memo, &on1, &dc1, CoverEngine::Flat);
+        let c2 = cache.minimized_cube_count(&memo, &on2, &dc2, CoverEngine::Flat);
         assert_eq!(c1, 2, "binary cover: 00 and 11 cannot merge");
         assert_eq!(c2, 1, "4-valued cover: {{0,2}} ∪ {{1,3}} is the universe");
         assert_eq!(cache.hits(), 0, "cross-domain lookup must not hit");
         assert_eq!(cache.misses(), 2);
+        let stats = memo.stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 2),
+            "cross-domain lookup must not hit a shard"
+        );
         // repeat lookups now hit, each within its own domain's entry
-        assert_eq!(cache.minimized_cube_count(&on1, &dc1, CoverEngine::Flat), 2);
-        assert_eq!(cache.minimized_cube_count(&on2, &dc2, CoverEngine::Flat), 1);
+        assert_eq!(
+            cache.minimized_cube_count(&memo, &on1, &dc1, CoverEngine::Flat),
+            2
+        );
+        assert_eq!(
+            cache.minimized_cube_count(&memo, &on2, &dc2, CoverEngine::Flat),
+            1
+        );
+        assert_eq!(cache.hits(), 2);
     }
 
     #[test]
@@ -874,43 +748,14 @@ mod tests {
         let on2 = reinterpret(&on1, &d2);
         let dc2 = Cover::empty(&d2);
 
+        let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let c1 = cache.minimized_cube_count(&on1, &dc1, CoverEngine::Flat);
-        let c2 = cache.minimized_cube_count(&on2, &dc2, CoverEngine::Flat);
+        let c1 = cache.minimized_cube_count(&memo, &on1, &dc1, CoverEngine::Flat);
+        let c2 = cache.minimized_cube_count(&memo, &on2, &dc2, CoverEngine::Flat);
         assert_eq!(cache.hits(), 0, "swapped strides must not share an entry");
         assert_eq!(cache.misses(), 2);
-        let f1 = MinimizeCache::new().minimized_cube_count_uncached(&on1, &dc1, CoverEngine::Flat);
-        let f2 = MinimizeCache::new().minimized_cube_count_uncached(&on2, &dc2, CoverEngine::Flat);
-        assert_eq!(c1, f1);
-        assert_eq!(c2, f2);
-    }
-
-    #[test]
-    fn global_cache_keys_equal_bit_width_domains_apart() {
-        let d1 = Domain::binary(2);
-        let on1 = cover_from_codes(&d1, 2, &[0, 3]);
-        let dc1 = Cover::empty(&d1);
-        let d2 = crate::domain::DomainBuilder::new().multi("s", 4).build();
-        let on2 = reinterpret(&on1, &d2);
-        let dc2 = Cover::empty(&d2);
-
-        let global = GlobalMinimizeCache::new();
-        let mut cache = MinimizeCache::new();
-        let c1 = cache.minimized_cube_count_shared(&global, &on1, &dc1, CoverEngine::Flat);
-        let c2 = cache.minimized_cube_count_shared(&global, &on2, &dc2, CoverEngine::Flat);
-        assert_eq!((c1, c2), (2, 1));
-        let stats = global.stats();
-        assert_eq!(stats.hits, 0, "cross-domain lookup must not hit a shard");
-        assert_eq!(stats.misses, 2);
-        // warm repeats hit each domain's own entry and keep the values
-        assert_eq!(
-            cache.minimized_cube_count_shared(&global, &on1, &dc1, CoverEngine::Flat),
-            2
-        );
-        assert_eq!(
-            cache.minimized_cube_count_shared(&global, &on2, &dc2, CoverEngine::Flat),
-            1
-        );
+        assert_eq!(c1, fresh(&on1, &dc1, CoverEngine::Flat));
+        assert_eq!(c2, fresh(&on2, &dc2, CoverEngine::Flat));
     }
 
     #[test]
@@ -926,9 +771,10 @@ mod tests {
         on.push(c0);
         on.push(c1);
         let dc = Cover::empty(&dom);
+        let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let f = cache.minimized_cube_count(&on, &dc, CoverEngine::Flat);
-        let l = cache.minimized_cube_count(&on, &dc, CoverEngine::Legacy);
+        let f = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
+        let l = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Legacy);
         assert_eq!(f, l);
         assert_eq!(f, 1);
     }

@@ -59,8 +59,9 @@ pub const TRIGGER_POINTS: &[&str] = &[
     "nova.place",
     "nova.improve",
     "enc.eval",
-    // picola-logic: shared global cache (shard treated as poisoned — the
-    // lookup/insert is bypassed and the call degrades to an honest miss)
+    // picola-logic: the minimization memo, per run or shared (shard
+    // treated as poisoned — the lookup/insert is bypassed and the call
+    // degrades to an honest miss)
     "cache.shard",
     // picola-server: job lifecycle faults (worker panic mid-job, socket
     // dropped mid-response, admission control reporting a full queue).

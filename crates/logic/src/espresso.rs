@@ -182,8 +182,8 @@ pub fn espresso_bounded(
 /// Convenience wrapper returning only the minimized cube count — the cost
 /// measure used throughout the PICOLA evaluation. Runs the default (flat)
 /// engine once with a one-shot scratch, bypassing the memo and its
-/// counters; long-lived callers should hold a
-/// [`crate::cache::MinimizeCache`] so repeat covers hit the memo.
+/// counters; long-lived callers should price through a
+/// [`crate::cache::MinimizeCache`] view over a memo so repeat covers hit.
 pub fn minimized_cube_count(on: &Cover, dc: &Cover) -> usize {
     let mut scratch = crate::flat::MinimizeScratch::new();
     crate::cache::minimize_count(on, dc, crate::cache::CoverEngine::default(), &mut scratch)

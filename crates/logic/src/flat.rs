@@ -70,8 +70,7 @@ pub struct FlatDomain {
     /// Per variable: a full-stride mask (zero outside the variable's span,
     /// the span masks inside it), `num_vars * words` words total — lets
     /// sweep kernels test literal emptiness without the span indirection.
-    /// Only the wide backend reads it, so it is dead weight without `simd`.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
+    /// Only the wide backend reads it.
     var_masks: Vec<u64>,
 }
 
@@ -159,7 +158,6 @@ impl FlatDomain {
     /// meet `m` — the wide kernels compute `a ∧ b` once with a vector AND
     /// and then run this single-operand walk instead of the double-indexed
     /// [`FlatDomain::meet_var_empty`] sweep.
-    #[cfg(feature = "simd")]
     pub(crate) fn meet_all_vars_nonempty(&self, m: &[u64]) -> bool {
         (0..self.num_vars).all(|v| {
             let (first, start, span) = self.var_spans[v];
@@ -169,7 +167,6 @@ impl FlatDomain {
 
     /// Number of variables whose literal is empty in the materialized meet
     /// `m` — the wide-kernel counterpart of [`cube_distance`].
-    #[cfg(feature = "simd")]
     pub(crate) fn meet_empty_vars(&self, m: &[u64]) -> usize {
         (0..self.num_vars)
             .filter(|&v| {
@@ -186,7 +183,6 @@ impl FlatDomain {
     /// zero too — cubes that start zero-padded stay zero-padded through the
     /// whole engine. Used by the Wide backend to lift awkward strides onto
     /// a monomorphized power-of-two rung.
-    #[cfg(feature = "simd")]
     pub(crate) fn padded_to(&self, words: usize) -> FlatDomain {
         debug_assert!(words >= self.words);
         let mut fd = self.clone();
@@ -202,7 +198,6 @@ impl FlatDomain {
 
     /// The per-variable full-stride literal masks, `num_vars * words` words
     /// (see the field doc) — the sweep kernels' view of the layout.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) fn var_masks(&self) -> &[u64] {
         &self.var_masks
     }
@@ -1998,7 +1993,6 @@ fn run_stride<K: Kern>(
 
 /// [`run_stride`] with the Wide backend's kernels: AVX2 when the CPU has
 /// it, the portable 4-lane fallback otherwise — bit-identical either way.
-#[cfg(feature = "simd")]
 fn run_stride_wide(
     fd: &FlatDomain,
     on_w: &[u64],
@@ -2021,7 +2015,6 @@ fn run_stride_wide(
 /// guarantees the padding never influences a result. The padding is
 /// stripped again before returning, so callers only ever see the domain's
 /// true stride.
-#[cfg(feature = "simd")]
 fn run_wide_kern<K: Kern>(
     fd: &FlatDomain,
     k: K,
@@ -2050,7 +2043,6 @@ fn run_wide_kern<K: Kern>(
 
 /// Re-strides `src` (cubes of `from` words) into `out` at `to` words per
 /// cube, zero-filling the new trailing words.
-#[cfg(feature = "simd")]
 fn pad_stride(src: &[u64], from: usize, to: usize, out: &mut AlignedWords) {
     debug_assert!(out.is_empty() && from <= to);
     let cubes = src.len() / from;
@@ -2063,28 +2055,12 @@ fn pad_stride(src: &[u64], from: usize, to: usize, out: &mut AlignedWords) {
 
 /// Inverse of [`pad_stride`]: drops each cube's trailing padding words
 /// (which the engine provably kept zero).
-#[cfg(feature = "simd")]
 fn unpad_stride(src: &[u64], from: usize, to: usize, out: &mut AlignedWords) {
     debug_assert!(out.is_empty() && to <= from);
     for c in src.chunks_exact(from) {
         debug_assert!(c[to..].iter().all(|&x| x == 0), "padding word disturbed");
         out.extend_from_slice(&c[..to]);
     }
-}
-
-/// Without the `simd` feature [`simd::selected_backend`] never resolves to
-/// `Wide`, so this arm is unreachable; it routes to the scalar kernels to
-/// stay total without a panic path.
-#[cfg(not(feature = "simd"))]
-fn run_stride_wide(
-    fd: &FlatDomain,
-    on_w: &[u64],
-    dc_w: &[u64],
-    opts: &MinimizeOptions,
-    budget: &Budget,
-    scratch: &mut MinimizeScratch,
-) -> (AlignedWords, Completion) {
-    run_stride(fd, ScalarKern, on_w, dc_w, opts, budget, scratch)
 }
 
 /// Routes a word-form minimization to the right engine rung: the inline

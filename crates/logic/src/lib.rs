@@ -33,18 +33,18 @@
 //! - [`pla`]: Berkeley PLA text format.
 //! - [`budget`] / [`chaos`]: execution budgets with graceful degradation and
 //!   the deterministic fault-injection harness that tests them.
-//! - [`obs`]: deterministic spans + counters (compiled out without the
-//!   `obs` cargo feature).
+//! - [`obs`]: deterministic spans + counters (inert until a recorder is
+//!   installed).
 //! - [`flat`]: allocation-free flat cover kernels and the flat ESPRESSO
 //!   engine ([`flat_espresso_bounded`]) covering every domain via a
 //!   1/2/4-word specialization ladder over the cube stride.
 //! - [`simd`]: the runtime-dispatched kernel backend beneath the flat
 //!   engine — AVX2 / portable-wide / scalar word kernels selected by
-//!   [`KernelBackend`] (`PICOLA_SIMD`, `simd` cargo feature), bit-identical
-//!   across backends, plus the 64-byte-aligned [`AlignedWords`] buffers.
-//! - [`cache`]: the memoized minimization cache ([`MinimizeCache`]; memo
-//!   compiled out without the `minimize-cache` cargo feature) and the
-//!   [`CoverEngine`] selector.
+//!   [`KernelBackend`] at run time (`PICOLA_SIMD`), bit-identical across
+//!   backends, plus the 64-byte-aligned [`AlignedWords`] buffers.
+//! - [`cache`]: the minimization memo ([`GlobalMinimizeCache`]), the
+//!   per-caller [`MinimizeCache`] view over it, and the [`CoverEngine`]
+//!   selector.
 //! - [`sat`]: CNF formulas, DIMACS I/O, a self-contained CDCL solver, and
 //!   the face-problem compiler behind the `picola-sat` exact oracle.
 //! - [`binio`]: compact binary serialization primitives (varints,

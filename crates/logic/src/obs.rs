@@ -40,12 +40,13 @@
 //! drains the shared work pool records the same amount into exactly one
 //! span.
 //!
-//! ## Compiling it out
+//! ## Cost when untraced
 //!
-//! With the `obs` cargo feature disabled (`--no-default-features`) this
-//! module is replaced by an API-identical stub of zero-sized types and
-//! empty `#[inline]` functions, so the tracing layer costs nothing — not
-//! even the thread-local read.
+//! There is no compile-time switch. With no recorder installed, [`count`]
+//! returns after one thread-local flag read and a disabled [`Recorder`]
+//! after one `Option` check; every untraced run pays exactly that, and
+//! DESIGN.md §11 has the measurement showing that compiling the layer out
+//! would not pay.
 //!
 //! [`Budget::tick`]: crate::budget::Budget::tick
 
@@ -226,7 +227,6 @@ impl Counter {
 }
 
 /// Number of counter slots per span.
-#[cfg(feature = "obs")]
 const NUM_COUNTERS: usize = Counter::ALL.len();
 
 /// An immutable snapshot of one span, produced by [`Trace::snapshot`].
@@ -250,17 +250,6 @@ pub struct SpanSnapshot {
 }
 
 impl SpanSnapshot {
-    /// An empty snapshot with the given name (what the no-op stub returns).
-    pub fn empty(name: &str) -> SpanSnapshot {
-        SpanSnapshot {
-            name: name.to_owned(),
-            wall_ns: None,
-            work: Vec::new(),
-            counters: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
     /// Total work units recorded in this span and every descendant.
     pub fn total_work(&self) -> u64 {
         let own: u64 = self.work.iter().map(|&(_, v)| v).sum();
@@ -380,7 +369,6 @@ fn json_escape_into(s: &str, out: &mut String) {
     }
 }
 
-#[cfg(feature = "obs")]
 mod imp {
     use super::{Counter, SpanSnapshot, NUM_COUNTERS};
     use crate::chaos;
@@ -769,152 +757,12 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    //! API-identical no-op stub: every type is zero-sized and every
-    //! function inlines to nothing, so disabling the `obs` feature
-    //! compiles the tracing layer out of the binary entirely.
-
-    use super::{Counter, SpanSnapshot};
-
-    /// No-op stand-in for the real `Trace` (feature `obs` disabled).
-    #[derive(Debug, Default)]
-    pub struct Trace;
-
-    impl Trace {
-        /// A trace that records nothing.
-        pub fn new() -> Trace {
-            Trace
-        }
-
-        /// Identical to [`Trace::new`] in the stub.
-        pub fn with_wall_clock() -> Trace {
-            Trace
-        }
-
-        /// A disabled recorder.
-        pub fn recorder(&self) -> Recorder {
-            Recorder
-        }
-
-        /// An empty root snapshot.
-        pub fn snapshot(&self) -> SpanSnapshot {
-            SpanSnapshot::empty("trace")
-        }
-
-        /// The render of an empty tree.
-        pub fn render(&self) -> String {
-            "trace\n".to_owned()
-        }
-
-        /// The JSON of an empty tree.
-        pub fn to_json(&self) -> String {
-            self.snapshot().to_json()
-        }
-
-        /// Always zero.
-        pub fn total_work(&self) -> u64 {
-            0
-        }
-
-        /// Always zero.
-        pub fn counter_total(&self, _counter: Counter) -> u64 {
-            0
-        }
-
-        /// Always zero.
-        pub fn open_spans(&self) -> usize {
-            0
-        }
-    }
-
-    /// No-op stand-in recorder (feature `obs` disabled). Deliberately not
-    /// `Copy`: call sites then clone exactly as they do with the real
-    /// recorder, keeping both builds lint-clean.
-    #[derive(Debug, Clone, Default)]
-    pub struct Recorder;
-
-    impl Recorder {
-        /// The (only) disabled recorder.
-        #[inline(always)]
-        pub fn disabled() -> Recorder {
-            Recorder
-        }
-
-        /// Always `false`.
-        #[inline(always)]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn add(&self, _counter: Counter, _n: u64) {}
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn record_work(&self, _point: &str, _amount: u64) {}
-
-        /// Returns an inert guard.
-        #[inline(always)]
-        pub fn span(&self, _name: &str) -> SpanGuard {
-            SpanGuard
-        }
-    }
-
-    /// Inert span guard (feature `obs` disabled).
-    #[derive(Debug)]
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        /// A disabled recorder.
-        #[inline(always)]
-        pub fn recorder(&self) -> Recorder {
-            Recorder
-        }
-    }
-
-    /// Inert current-recorder guard (feature `obs` disabled).
-    #[derive(Debug)]
-    pub struct CurrentGuard;
-
-    /// Does nothing; returns an inert guard.
-    #[inline(always)]
-    pub fn enter(_recorder: Recorder) -> CurrentGuard {
-        CurrentGuard
-    }
-
-    /// Always disabled.
-    #[inline(always)]
-    pub fn current() -> Recorder {
-        Recorder
-    }
-
-    /// Always disabled.
-    #[inline(always)]
-    pub fn current_or(_fallback: &Recorder) -> Recorder {
-        Recorder
-    }
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn count(_counter: Counter, _n: u64) {}
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn count_scoped(_fallback: &Recorder, _counter: Counter, _n: u64) {}
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn record_work_scoped(_fallback: &Recorder, _point: &str, _amount: u64) {}
-}
-
 pub use imp::{
     count, count_scoped, current, current_or, enter, record_work_scoped, CurrentGuard, Recorder,
     SpanGuard, Trace,
 };
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

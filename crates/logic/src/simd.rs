@@ -25,15 +25,14 @@
 //!    and the `kernel_ab` bench leg use this to pin each leg's backend);
 //! 2. the `PICOLA_SIMD` environment variable (`scalar` or `wide`), read
 //!    once per process;
-//! 3. the default: `Wide` when the `simd` cargo feature is on, `Scalar`
-//!    otherwise.
+//! 3. the default, `Wide`.
 //!
-//! Without the `simd` feature the wide kernels are not compiled at all and
-//! every resolution collapses to `Scalar` — requesting `wide` via the
-//! environment or the override is then a documented no-op, so callers never
-//! need cfg gates. Whether a resolved `Wide` runs the AVX2 or the portable
-//! lanes is a per-process hardware fact ([`avx2_active`]), invisible to
-//! results.
+//! There is no compile-time switch: every build carries all three kernel
+//! families, and `PICOLA_SIMD=scalar` (or the override) is how a run opts
+//! out of the wide kernels. Whether a resolved `Wide` runs the AVX2 or the
+//! portable lanes is a per-process hardware fact ([`avx2_active`]): AVX2
+//! on x86_64 hosts that have it, the portable lanes on every other target
+//! or under `PICOLA_SIMD=portable`. It is invisible to results.
 //!
 //! ## Bit-identity contract
 //!
@@ -44,8 +43,8 @@
 //! orderings, budget ticks, and [`crate::obs`] counters stay in the engine
 //! and are therefore backend-invariant. That makes covers, completions,
 //! and traces bit-identical across backends, which is load-bearing:
-//! [`crate::cache::MinimizeCache`] and the server's `GlobalMinimizeCache`
-//! key on exact cover bytes, golden tables pin trace renders, and the
+//! the minimization memo ([`crate::cache::GlobalMinimizeCache`]) keys on
+//! exact cover bytes, golden tables pin trace renders, and the
 //! legacy/SAT oracles compare exact covers. `tests/prop_simd_kernels.rs`
 //! enforces the contract end to end.
 //!
@@ -72,8 +71,7 @@ pub enum KernelBackend {
     /// The original word-at-a-time loops (reference + A/B baseline).
     Scalar,
     /// The vectorized kernels: AVX2 where detected, the portable 4-lane
-    /// unrolled fallback everywhere else. Requires the `simd` cargo
-    /// feature; without it this resolves to `Scalar`.
+    /// unrolled fallback everywhere else. The default.
     Wide,
 }
 
@@ -110,43 +108,34 @@ fn env_backend() -> Option<KernelBackend> {
 }
 
 /// Whether `PICOLA_SIMD=portable` masked the AVX2 lanes off (read once).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_masked_off() -> bool {
     static MASKED: OnceLock<bool> = OnceLock::new();
     *MASKED.get_or_init(|| std::env::var("PICOLA_SIMD").ok().as_deref() == Some("portable"))
 }
 
 /// Resolves the active kernel backend: thread-local override, then the
-/// `PICOLA_SIMD` environment variable, then the default (`Wide` with the
-/// `simd` cargo feature, `Scalar` without). Without the feature the wide
-/// kernels are not compiled, so every request degrades to `Scalar`.
+/// `PICOLA_SIMD` environment variable, then the default (`Wide`).
 pub fn selected_backend() -> KernelBackend {
-    let requested = BACKEND_OVERRIDE
+    BACKEND_OVERRIDE
         .with(Cell::get)
         .or_else(env_backend)
-        .unwrap_or(KernelBackend::Wide);
-    if cfg!(feature = "simd") {
-        requested
-    } else {
-        KernelBackend::Scalar
-    }
+        .unwrap_or(KernelBackend::Wide)
 }
 
 /// Whether the Wide backend runs the AVX2 kernels on this machine (cached
-/// runtime detection). `false` on non-x86_64 targets, without the `simd`
-/// feature, when the CPU lacks AVX2, or under `PICOLA_SIMD=portable` — the
-/// Wide backend then uses the portable 4-lane fallback. Diagnostic only:
-/// results never depend on it.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// runtime detection). `false` on non-x86_64 targets, when the CPU lacks
+/// AVX2, or under `PICOLA_SIMD=portable` — the Wide backend then uses the
+/// portable 4-lane fallback. Diagnostic only: results never depend on it.
+#[cfg(target_arch = "x86_64")]
 pub fn avx2_active() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2") && !avx2_masked_off())
 }
 
 /// Whether the Wide backend runs the AVX2 kernels on this machine — always
-/// `false` on this target/feature combination (the portable fallback, or no
-/// wide kernels at all without the `simd` feature).
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+/// `false` off x86_64, where Wide runs the portable fallback.
+#[cfg(not(target_arch = "x86_64"))]
 pub fn avx2_active() -> bool {
     false
 }
@@ -257,17 +246,14 @@ impl Kern for ScalarKern {
 /// than it saves (an extra store/load round trip, and for AVX2 an
 /// un-inlinable `target_feature` call) — so only strides past the widest
 /// monomorphized rung take the vector path, and only up to this bound.
-#[cfg(feature = "simd")]
 const MEET_BUF_WORDS: usize = 16;
 
 /// Narrowest stride at which materializing the meet beats the scalar walk.
-#[cfg(feature = "simd")]
 const MEET_MATERIALIZE_MIN: usize = 5;
 
 /// Wide `meet_valid`: the scalar short-circuit walk at narrow strides, the
 /// materialized-meet form (one vector AND, then a single-operand masked
 /// walk) where cubes are wide enough to pay for it.
-#[cfg(feature = "simd")]
 #[inline]
 fn wide_meet_valid<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) -> bool {
     let w = a.len();
@@ -281,7 +267,6 @@ fn wide_meet_valid<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) -> bool
 }
 
 /// Wide `distance`: materialized-meet counterpart of [`wide_meet_valid`].
-#[cfg(feature = "simd")]
 #[inline]
 fn wide_distance<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
     let w = a.len();
@@ -302,7 +287,6 @@ fn wide_distance<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize 
 /// — `acc == 0` is exactly "the variable's literal is empty in the meet".
 /// Branch-free inner reductions keep the block in vector registers; the
 /// early returns mirror the scalar form's short-circuits bit for bit.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn sweep_body_fixed<const W: usize>(var_masks: &[u64], list: &[u64], a: &[u64]) -> bool {
     let mut av = [0u64; W];
@@ -328,7 +312,6 @@ fn sweep_body_fixed<const W: usize>(var_masks: &[u64], list: &[u64], a: &[u64]) 
 
 /// Runtime-stride fallback of [`sweep_body_fixed`] for rungs without a
 /// monomorphized width.
-#[cfg(feature = "simd")]
 #[inline]
 fn sweep_body_dyn(var_masks: &[u64], list: &[u64], w: usize, a: &[u64]) -> bool {
     'cubes: for o in list.chunks_exact(w) {
@@ -350,7 +333,6 @@ fn sweep_body_dyn(var_masks: &[u64], list: &[u64], w: usize, a: &[u64]) -> bool 
 /// rungs actually produce get the monomorphized body. `inline(always)` so
 /// the bodies land inside the AVX2 `target_feature` wrapper and pick up
 /// its codegen.
-#[cfg(feature = "simd")]
 #[inline(always)]
 fn wide_sweep_meets_all_invalid(fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
     let var_masks = fd.var_masks();
@@ -363,11 +345,9 @@ fn wide_sweep_meets_all_invalid(fd: &FlatDomain, list: &[u64], w: usize, a: &[u6
 }
 
 /// The portable wide backend: 4-lane unrolled loops, compiled everywhere.
-#[cfg(feature = "simd")]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PortableKern;
 
-#[cfg(feature = "simd")]
 impl Kern for PortableKern {
     #[inline]
     fn covers(self, a: &[u64], b: &[u64]) -> bool {
@@ -422,11 +402,11 @@ impl Kern for PortableKern {
 
 /// The AVX2 backend: 256-bit blocks with a 128-bit tail, unaligned loads.
 /// Constructed only after [`avx2_active`] returned `true`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Avx2Kern;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 impl Kern for Avx2Kern {
     #[inline]
     fn covers(self, a: &[u64], b: &[u64]) -> bool {
@@ -491,7 +471,6 @@ impl Kern for Avx2Kern {
 // Portable 4-lane kernels
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "simd")]
 mod portable {
     //! `[u64; 4]` lane-unrolled kernels: branch-free reductions LLVM can
     //! keep in vector registers on any target.
@@ -660,7 +639,7 @@ mod portable {
 // AVX2 kernels
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! 256-bit kernels. Every function requires AVX2 (callers gate on
     //! [`super::avx2_active`]); loads are unaligned because cube offsets
@@ -907,7 +886,6 @@ fn wide_selected() -> bool {
 /// `dst |= src` per word (shorter operand bounds the sweep), dispatched on
 /// the selected backend.
 pub fn union_into(dst: &mut [u64], src: &[u64]) {
-    #[cfg(feature = "simd")]
     if wide_selected() {
         #[cfg(target_arch = "x86_64")]
         if avx2_active() {
@@ -925,7 +903,6 @@ pub fn union_into(dst: &mut [u64], src: &[u64]) {
 
 /// `dst &= src` per word, dispatched on the selected backend.
 pub fn intersect_into(dst: &mut [u64], src: &[u64]) {
-    #[cfg(feature = "simd")]
     if wide_selected() {
         #[cfg(target_arch = "x86_64")]
         if avx2_active() {
@@ -943,7 +920,6 @@ pub fn intersect_into(dst: &mut [u64], src: &[u64]) {
 
 /// `dst &= !src` per word, dispatched on the selected backend.
 pub fn difference_into(dst: &mut [u64], src: &[u64]) {
-    #[cfg(feature = "simd")]
     if wide_selected() {
         #[cfg(target_arch = "x86_64")]
         if avx2_active() {
@@ -962,7 +938,6 @@ pub fn difference_into(dst: &mut [u64], src: &[u64]) {
 /// Whether `a & b == 0` everywhere (the shorter operand bounds the sweep),
 /// dispatched on the selected backend.
 pub fn disjoint(a: &[u64], b: &[u64]) -> bool {
-    #[cfg(feature = "simd")]
     if wide_selected() {
         #[cfg(target_arch = "x86_64")]
         if avx2_active() {
@@ -1154,7 +1129,7 @@ pub struct MaskN<'a> {
 impl<'a> MaskN<'a> {
     /// Wraps the two scratch buffers for a `words`-word code space.
     pub fn new(cur: &'a mut Vec<u64>, trial: &'a mut Vec<u64>, words: usize) -> MaskN<'a> {
-        let wide = wide_selected() && cfg!(feature = "simd");
+        let wide = wide_selected();
         MaskN {
             cur,
             trial,
@@ -1185,7 +1160,6 @@ impl MaskKernel for MaskN<'_> {
 
     #[inline]
     fn disjoint(&mut self, forbidden: &[u64]) -> bool {
-        #[cfg(feature = "simd")]
         if self.wide {
             #[cfg(target_arch = "x86_64")]
             if avx2_active() {
@@ -1194,7 +1168,6 @@ impl MaskKernel for MaskN<'_> {
             }
             return portable::disjoint(self.trial, forbidden);
         }
-        let _ = self.wide;
         self.trial.iter().zip(forbidden).all(|(&m, &f)| m & f == 0)
     }
 
@@ -1401,25 +1374,15 @@ mod tests {
 
     #[test]
     fn backend_override_wins_and_restores() {
-        let prev = set_backend_override(Some(KernelBackend::Scalar));
-        assert_eq!(selected_backend(), KernelBackend::Scalar);
-        set_backend_override(prev);
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn wide_is_the_feature_default() {
-        // Without an env/override request the feature default is Wide (an
-        // env request, if present, is itself honored — both are "not
-        // Scalar-by-accident").
-        let prev = set_backend_override(Some(KernelBackend::Wide));
-        assert_eq!(selected_backend(), KernelBackend::Wide);
-        set_backend_override(prev);
+        for backend in [KernelBackend::Scalar, KernelBackend::Wide] {
+            let prev = set_backend_override(Some(backend));
+            assert_eq!(selected_backend(), backend);
+            set_backend_override(prev);
+        }
     }
 
     /// Every backend's leaf kernels agree with the scalar reference on
     /// random slices across the 1/2/4/8-word strides plus odd lengths.
-    #[cfg(feature = "simd")]
     #[test]
     fn wide_kernels_match_scalar_bit_for_bit() {
         fn check<K: Kern>(k: K) {
@@ -1467,7 +1430,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "simd")]
     #[test]
     fn wide_meet_kernels_match_scalar_on_mv_domains() {
         use crate::domain::DomainBuilder;

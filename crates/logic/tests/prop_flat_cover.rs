@@ -6,15 +6,15 @@
 //!    [`Cube`] operations, on mixed binary/multi-valued and multi-word
 //!    domains;
 //! 2. [`flat_espresso_bounded`] against [`espresso_bounded`] — bit-identical
-//!    covers, completions, and (with `obs` on) byte-identical traces, on
-//!    unlimited and tightly bounded budgets alike. The corpus spans every
+//!    covers, completions, and byte-identical traces, on unlimited and
+//!    tightly bounded budgets alike. The corpus spans every
 //!    rung of the flat engine's specialization ladder: the single-word
 //!    binary fast path plus multi-valued domains at 1-, 2-, 4-, and 8-word
 //!    strides (mixed part counts up to 70 parts per variable), so the
 //!    legacy engine's only remaining role — independent oracle — is
 //!    exercised on exactly the domains the flat engine now owns;
-//! 3. the [`MinimizeCache`] — cache-on, cache-off, flat, and legacy lookups
-//!    must all agree.
+//! 3. the [`MinimizeCache`] view over a [`GlobalMinimizeCache`] — memo
+//!    lookups, uncached lookups, flat, and legacy must all agree.
 
 // Tests are exempt from the panic-freedom policy; clippy's in-tests
 // exemption misses integration-test helpers, so waive it explicitly.
@@ -23,8 +23,8 @@
 use picola_logic::{
     cube_and_into, cube_cofactor_into, cube_consensus_into, cube_contains, cube_distance,
     cube_is_valid, espresso_bounded, flat_eligible, flat_espresso_bounded, Budget, Cover,
-    CoverEngine, Cube, Domain, DomainBuilder, FlatCover, FlatDomain, MinimizeCache,
-    MinimizeOptions, MinimizeScratch, Trace,
+    CoverEngine, Cube, Domain, DomainBuilder, FlatCover, FlatDomain, GlobalMinimizeCache,
+    MinimizeCache, MinimizeOptions, MinimizeScratch, Trace,
 };
 use proptest::prelude::*;
 
@@ -316,20 +316,22 @@ proptest! {
         dc in binary_cover(4, 2),
     ) {
         prop_assume!(!overlaps(&on, &dc));
+        let memo = GlobalMinimizeCache::new();
         let mut cached = MinimizeCache::new();
         let mut uncached = MinimizeCache::new();
-        let reference = cached.minimized_cube_count(&on, &dc, CoverEngine::Flat);
-        // repeat lookup (a hit when the feature is on) must agree
+        let reference = cached.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
+        // the repeat lookup is a memo hit and must agree
         prop_assert_eq!(
-            cached.minimized_cube_count(&on, &dc, CoverEngine::Flat),
+            cached.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat),
             reference
         );
+        prop_assert_eq!(cached.hits(), 1);
         prop_assert_eq!(
             uncached.minimized_cube_count_uncached(&on, &dc, CoverEngine::Flat),
             reference
         );
         prop_assert_eq!(
-            cached.minimized_cube_count(&on, &dc, CoverEngine::Legacy),
+            cached.minimized_cube_count(&memo, &on, &dc, CoverEngine::Legacy),
             reference
         );
     }

@@ -16,9 +16,9 @@
 //! 2. Kernel counter conservation: every dispatched multi-word run bumps
 //!    `kernel_dispatches` plus exactly one of `kernel_wide_calls` /
 //!    `kernel_scalar_calls`, so wide + scalar == dispatched always.
-//! 3. The Wide-exercised tripwire: with the `simd` feature on, a Wide-pinned
-//!    multi-word run must actually take the wide path (`KernelWideCalls >
-//!    0`, `KernelScalarCalls == 0`) — a silent fall-through to scalar would
+//! 3. The Wide-exercised tripwire: a Wide-pinned multi-word run must
+//!    actually take the wide path (`KernelWideCalls > 0`,
+//!    `KernelScalarCalls == 0`) — a silent fall-through to scalar would
 //!    otherwise pass every bit-identity test while voiding the speedup.
 
 // Tests are exempt from the panic-freedom policy; clippy's in-tests
@@ -215,25 +215,12 @@ fn assert_backends_agree(
     Ok((scalar, wide))
 }
 
-/// The Wide-exercised tripwire for multi-word rungs: with the `simd`
-/// feature compiled in, a Wide-pinned dispatched run must resolve wide
-/// every time. Without the feature every request clamps to Scalar, and the
-/// same run must land entirely on the scalar counter instead. Without
-/// `obs` the counters are no-op stubs that always read zero, so there is
-/// nothing to observe — the bit-identity assertions above still ran.
+/// The Wide-exercised tripwire for multi-word rungs: a Wide-pinned
+/// dispatched run must resolve wide every time.
 fn assert_wide_exercised(wide: &BackendRun) -> Result<(), TestCaseError> {
-    if !cfg!(feature = "obs") {
-        prop_assert_eq!(wide.dispatches + wide.wide + wide.scalar, 0);
-        return Ok(());
-    }
     prop_assert!(wide.dispatches > 0, "multi-word corpus must dispatch");
-    if cfg!(feature = "simd") {
-        prop_assert_eq!(wide.wide, wide.dispatches, "Wide selected but not exercised");
-        prop_assert_eq!(wide.scalar, 0);
-    } else {
-        prop_assert_eq!(wide.wide, 0, "wide path must be compiled out");
-        prop_assert_eq!(wide.scalar, wide.dispatches);
-    }
+    prop_assert_eq!(wide.wide, wide.dispatches, "Wide selected but not exercised");
+    prop_assert_eq!(wide.scalar, 0);
     Ok(())
 }
 

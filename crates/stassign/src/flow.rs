@@ -11,7 +11,7 @@ use picola_constraints::{
 };
 use picola_core::{Budget, Completion, Encoder};
 use picola_fsm::{symbolic_cover, Fsm};
-use picola_logic::{flat_espresso_bounded, obs, MinimizeOptions, MinimizeScratch};
+use picola_logic::{flat_espresso_bounded, obs, Cover, MinimizeOptions, MinimizeScratch};
 use std::time::{Duration, Instant};
 
 /// Options for [`assign_states`].
@@ -59,6 +59,10 @@ pub struct StateAssignment {
     pub size: usize,
     /// Literal count of the minimized cover (secondary measure).
     pub literals: usize,
+    /// The minimized encoded machine that `size` and `literals` measure
+    /// (the best valid cover reached when the budget ran out) — what
+    /// `picola assign` writes as its PLA.
+    pub cover: Cover,
     /// Time spent extracting constraints.
     pub extract_time: Duration,
     /// Time spent encoding.
@@ -145,6 +149,7 @@ pub fn assign_states_bounded(
         encoding,
         size: minimized.len(),
         literals: minimized.literal_cost(),
+        cover: minimized,
         extract_time,
         encode_time,
         minimize_time,

@@ -28,9 +28,6 @@ cargo build --release --offline
 echo "== cargo test (workspace)"
 cargo test -q --offline --workspace
 
-echo "== cargo test (workspace, no default features — obs stubbed out)"
-cargo test -q --offline --workspace --no-default-features
-
 echo "== cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -47,7 +47,9 @@ use picola::core::{
 };
 use picola::fsm::{benchmark_fsm, parse_kiss, symbolic_cover, write_kiss};
 use picola::logic::sat::FaceProblem;
-use picola::logic::{espresso_bounded, parse_pla, write_pla, MinimizeOptions};
+use picola::logic::{
+    flat_espresso_bounded, parse_pla, write_pla, MinimizeOptions, MinimizeScratch,
+};
 use picola::sat::{ExactOracle, OracleError};
 use picola::server::{Client, ClientError, JobKind, JobRequest, RetryPolicy, Status};
 use picola::server::{Server, ServerConfig};
@@ -481,24 +483,17 @@ fn cmd_assign(cli: &Cli) -> Result<(), AppError> {
             width = r.encoding.nv()
         ));
     }
-    // Re-run the encoding step to emit the minimized PLA.
-    let em = picola::stassign::encode_machine(&fsm, &r.encoding);
+    // Emit the cover the flow minimized and measured above.
     let mut pla = picola::logic::Pla::new(
         fsm.num_inputs() + r.encoding.nv(),
         r.encoding.nv() + fsm.num_outputs(),
     );
-    let (minimized, min_completion) = espresso_bounded(
-        &em.on,
-        &em.dc,
-        &MinimizeOptions::default(),
-        &cli.budget,
-    );
-    for c in minimized.iter() {
+    for c in r.cover.iter() {
         // Domains are structurally identical (binary inputs + output
         // var), so cubes carry over verbatim.
         pla.on.push(c.clone());
     }
-    print_status(r.completion.and(min_completion))?;
+    print_status(r.completion)?;
     outln(&write_pla(&pla))?;
     Ok(())
 }
@@ -549,11 +544,12 @@ fn cmd_minimize(cli: &Cli) -> Result<(), AppError> {
     let text = read(&cli.target)?;
     let mut pla = parse_pla(&text).map_err(|e| AppError::Parse(e.to_string()))?;
     let before = pla.on.len();
-    let (minimized, completion) = espresso_bounded(
+    let (minimized, completion) = flat_espresso_bounded(
         &pla.on,
         &pla.dc,
         &MinimizeOptions::default(),
         &cli.budget,
+        &mut MinimizeScratch::new(),
     );
     pla.on = minimized;
     errln(&format!("# {before} -> {} cubes", pla.on.len()));

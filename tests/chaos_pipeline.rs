@@ -125,15 +125,15 @@ fn no_trigger_point_panics_the_pipeline() {
 #[test]
 fn armed_plans_actually_fire() {
     // Every trigger point must be reachable from the driver above —
-    // otherwise the sweep silently tests nothing at that point. The
-    // server-layer points (`server.*`), the shared-cache point
-    // (`cache.shard`), and the result-store point (`store.io`) only fire
-    // on the daemon's job paths or store-backed runs, which this
-    // single-process driver never enters; tests/server_lifecycle.rs and
-    // the bench crate's store suite sweep those and assert the same
-    // reachability property.
+    // otherwise the sweep silently tests nothing at that point. The memo
+    // point (`cache.shard`) is reached through the ENC baseline's own
+    // memo. The server-layer points (`server.*`) and the result-store
+    // point (`store.io`) only fire on the daemon's job paths or
+    // store-backed runs, which this single-process driver never enters;
+    // tests/server_lifecycle.rs and the bench crate's store suite sweep
+    // those and assert the same reachability property.
     for &point in chaos::TRIGGER_POINTS {
-        if point.starts_with("server.") || point == "cache.shard" || point == "store.io" {
+        if point.starts_with("server.") || point == "store.io" {
             continue;
         }
         let _guard = chaos::arm(point, 0);

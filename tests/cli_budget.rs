@@ -154,3 +154,96 @@ fn minimize_roundtrip_with_budget() {
     let parsed = picola::logic::parse_pla(&body).expect("minimize output parses");
     assert!(!parsed.on.is_empty());
 }
+
+/// Runs `picola [--budget-work W] <command> <path>`.
+fn picola_budgeted(work: Option<u64>, command: &str, path: &std::path::Path) -> Output {
+    let work = work.map(|w| w.to_string());
+    let mut args = Vec::new();
+    if let Some(w) = &work {
+        args.extend(["--budget-work", w.as_str()]);
+    }
+    args.extend([command, path.to_str().unwrap()]);
+    picola(&args)
+}
+
+#[test]
+fn assign_emits_the_cover_whose_size_it_reports() {
+    // The PLA on stdout is the flow's own minimized cover, so its cube
+    // count is the size on stderr at every budget — including budgets that
+    // run out inside the final minimization (538–541 on bbara).
+    let bbara = picola::fsm::benchmark_fsm("bbara").expect("bbara is in the suite");
+    let path = write_temp("size.kiss2", &picola::fsm::write_kiss(&bbara));
+    let budgets = (0..=1200).step_by(60).chain(536..=543).map(Some);
+    for work in budgets.chain([None]) {
+        let out = picola_budgeted(work, "assign", &path);
+        assert!(out.status.success(), "--budget-work {work:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let size: usize = stderr
+            .lines()
+            .find_map(|l| l.split(": size ").nth(1))
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no size line:\n{stderr}"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let cubes: usize = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(".p "))
+            .and_then(|n| n.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no .p line:\n{stdout}"));
+        assert_eq!(
+            size, cubes,
+            "--budget-work {work:?}: reported size vs emitted PLA"
+        );
+    }
+}
+
+#[test]
+fn minimize_output_is_the_library_flat_engine_byte_for_byte() {
+    use picola::logic::{
+        flat_espresso_bounded, parse_pla, write_pla, Budget, MinimizeOptions, MinimizeScratch, Pla,
+    };
+    // Fixture: bbara's natural-encoded machine as an unminimized PLA with
+    // a don't-care set.
+    let fsm = picola::fsm::benchmark_fsm("bbara").expect("bbara is in the suite");
+    let enc = picola::constraints::Encoding::natural(fsm.num_states());
+    let em = picola::stassign::encode_machine(&fsm, &enc);
+    let mut fixture = Pla::new(fsm.num_inputs() + enc.nv(), enc.nv() + fsm.num_outputs());
+    for c in em.on.iter() {
+        fixture.on.push(c.clone());
+    }
+    for c in em.dc.iter() {
+        fixture.dc.push(c.clone());
+    }
+    let text = write_pla(&fixture);
+    let path = write_temp("fixture.pla", &text);
+    let mut degraded = 0;
+    // The fixture minimizes in a handful of work units: budgets 0 and 1
+    // degrade inside ESPRESSO, the rest complete.
+    for work in [None, Some(0), Some(1), Some(2), Some(4), Some(64)] {
+        let budget = work.map_or_else(Budget::unlimited, |w| Budget::unlimited().work_limit(w));
+        let mut pla = parse_pla(&text).expect("fixture parses");
+        let (minimized, completion) = flat_espresso_bounded(
+            &pla.on,
+            &pla.dc,
+            &MinimizeOptions::default(),
+            &budget,
+            &mut MinimizeScratch::new(),
+        );
+        pla.on = minimized;
+        let mut expected = String::new();
+        if !completion.is_complete() {
+            degraded += 1;
+            expected.push_str(&format!("# status: {completion}\n"));
+        }
+        expected.push_str(&write_pla(&pla));
+        expected.push('\n');
+        let out = picola_budgeted(work, "minimize", &path);
+        assert!(out.status.success(), "--budget-work {work:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected,
+            "--budget-work {work:?}: CLI and library disagree"
+        );
+    }
+    assert_eq!(degraded, 2, "budgets 0 and 1 must degrade");
+}

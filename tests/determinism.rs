@@ -105,8 +105,7 @@ fn portfolio_is_identical_for_any_thread_count() {
 fn tracing_does_not_perturb_encodings() {
     // The obs layer only observes: attaching a recorder to the budget must
     // leave every encoder's output (and the portfolio's winner) bit-
-    // identical to an untraced run. Holds in both feature modes — with
-    // `obs` disabled the recorder is the no-op stub.
+    // identical to an untraced run.
     use picola::baselines::standard_members;
     use picola::logic::Trace;
 

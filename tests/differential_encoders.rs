@@ -191,7 +191,6 @@ fn evaluation_is_identical_across_engines_and_cache_modes() {
     }
     // The cached flat leg must have actually hit the memo: repeat constraint
     // functions recur across encodings and instances.
-    #[cfg(feature = "minimize-cache")]
     assert!(ctxs[0].cache.hits() > 0, "corpus must produce memo hits");
     assert_eq!(ctxs[1].cache.hits(), 0, "uncached leg must never hit");
 }

@@ -4,7 +4,6 @@
 //! budget-degraded runs, and under every registered chaos trigger point,
 //! sequential and parallel alike.
 
-#![cfg(feature = "obs")]
 // Tests are exempt from the panic-freedom policy; clippy's in-tests
 // exemption misses integration-test helpers, so waive it explicitly.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]

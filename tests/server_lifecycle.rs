@@ -382,10 +382,6 @@ fn global_cache_is_bit_invisible_in_results() {
         }
     }
     let stats = cached.cache_stats();
-    // With `minimize-cache` compiled out every lookup is an honest miss,
-    // so warmth is only observable (and asserted) with the feature on;
-    // the bit-identity above holds either way.
-    #[cfg(feature = "minimize-cache")]
     assert!(stats.hits > 0, "warm passes must actually hit");
     assert!(stats.misses > 0, "cold passes must miss first");
     assert_eq!(stats.hits + stats.misses, stats.calls, "conservation");

@@ -133,9 +133,6 @@ fn soak_under_rotating_chaos_never_hangs_or_loses_jobs() {
     assert!(answered > 0, "the soak never completed a single job");
 
     let cache = handle.cache_stats();
-    // Warmth is only observable with `minimize-cache` compiled in; the
-    // conservation and capacity laws below hold either way.
-    #[cfg(feature = "minimize-cache")]
     assert!(cache.hits > 0, "a warm cache must hit across a soak");
     assert_eq!(
         cache.hits + cache.misses,
