@@ -1,9 +1,10 @@
 //! Runtime-dispatched wide kernel backend for the flat engine.
 //!
-//! The flat ESPRESSO engine (PR 7) reduced every cover operation to loops
-//! over contiguous `u64` cube chunks of a fixed stride — exactly the shape
-//! 256-bit vector units want. This module supplies those word kernels in
-//! three interchangeable implementations:
+//! The flat ESPRESSO engine reduced every cover operation to loops over
+//! contiguous `u64` cube chunks of a fixed stride — exactly the shape
+//! 256-bit vector units want. This module supplies the engine's whole-cube
+//! word kernels — containment, equality, OR, AND and the cofactor body —
+//! in three interchangeable implementations:
 //!
 //! * **scalar** — the original word-at-a-time loops, byte-for-byte the
 //!   expressions the engine used before this module existed. This is the
@@ -37,11 +38,13 @@
 //! ## Bit-identity contract
 //!
 //! Every kernel here computes a *pure function of its word inputs* — a
-//! boolean, a count, or an output buffer — and all three implementations
+//! boolean, a word, or an output buffer — and all three implementations
 //! return identical values for identical inputs. The flat engine routes
-//! only such leaf predicates through the backend; loop structure, cube
-//! orderings, budget ticks, and [`crate::obs`] counters stay in the engine
-//! and are therefore backend-invariant. That makes covers, completions,
+//! only such leaf operations through the backend; the per-variable meet
+//! test (`FlatDomain`'s popcount test) is one scalar function for every
+//! backend, and loop structure, cube orderings, budget ticks, and
+//! [`crate::obs`] counters stay in the engine and are therefore
+//! backend-invariant. That makes covers, completions,
 //! and traces bit-identical across backends, which is load-bearing:
 //! the minimization memo ([`crate::cache::GlobalMinimizeCache`]) keys on
 //! exact cover bytes, golden tables pin trace renders, and the
@@ -56,7 +59,6 @@
 //! cache lines), so a cube at word offset 0 starts a cache line and wide
 //! loads of 1/2/4-word cubes never straddle one.
 
-use crate::flat::FlatDomain;
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
@@ -146,8 +148,11 @@ pub fn avx2_active() -> bool {
 
 /// The word-kernel vtable-free dispatch trait: one zero-sized implementor
 /// per backend, threaded through `MvCtx` as a type parameter so each engine
-/// rung monomorphizes straight-line kernels. Every method is a pure
-/// function of its inputs and all implementations agree bit for bit.
+/// rung monomorphizes straight-line kernels. It carries whole-cube word
+/// operations only — containment, equality, OR, AND and the cofactor body;
+/// tests that look at variables (the meet test, the distance) are not
+/// part of it. Every method is a pure function of its inputs and all
+/// implementations agree bit for bit.
 pub(crate) trait Kern: Copy {
     /// Whether cube `a` contains (covers) cube `b`: `b & !a == 0` per word.
     fn covers(self, a: &[u64], b: &[u64]) -> bool;
@@ -163,22 +168,6 @@ pub(crate) trait Kern: Copy {
     fn and_into(self, out: &mut [u64], a: &[u64], b: &[u64]);
     /// The general cofactor body: `out = (x | !p) & full` per word.
     fn cofactor_into(self, out: &mut [u64], x: &[u64], p: &[u64], full: &[u64]);
-    /// Whether the meet `a ∧ b` is a valid cube (no variable's literal
-    /// empty) — the distance-0 test.
-    fn meet_valid(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> bool;
-    /// Number of variables whose literal is empty in the meet — the
-    /// classic cube distance.
-    fn distance(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize;
-
-    /// The expand legality sweep: whether the meet of `a` with **every**
-    /// cube of `list` (stride `w`) is invalid. Semantically exactly
-    /// `list.chunks_exact(w).all(|o| !self.meet_valid(fd, a, o))` — the
-    /// sweep is counter-free, so wide backends may restructure the whole
-    /// loop (amortizing per-call dispatch, keeping `a` in registers) as
-    /// long as the boolean answer is identical.
-    fn sweep_meets_all_invalid(self, fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-        list.chunks_exact(w).all(|o| !self.meet_valid(fd, a, o))
-    }
 }
 
 /// The scalar backend: the engine's original word loops, verbatim.
@@ -226,122 +215,6 @@ impl Kern for ScalarKern {
             out[k] = (x[k] | !p[k]) & full[k];
         }
     }
-
-    #[inline]
-    fn meet_valid(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> bool {
-        (0..fd.num_vars()).all(|v| !fd.meet_var_empty(a, b, v))
-    }
-
-    #[inline]
-    fn distance(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
-        (0..fd.num_vars())
-            .filter(|&v| fd.meet_var_empty(a, b, v))
-            .count()
-    }
-}
-
-/// Stack buffer for materialized meets in the wide `meet_valid`/`distance`
-/// kernels. Narrow strides stay on the scalar per-variable short-circuit
-/// walk — at a handful of words the materialize-then-walk form costs more
-/// than it saves (an extra store/load round trip, and for AVX2 an
-/// un-inlinable `target_feature` call) — so only strides past the widest
-/// monomorphized rung take the vector path, and only up to this bound.
-const MEET_BUF_WORDS: usize = 16;
-
-/// Narrowest stride at which materializing the meet beats the scalar walk.
-const MEET_MATERIALIZE_MIN: usize = 5;
-
-/// Wide `meet_valid`: the scalar short-circuit walk at narrow strides, the
-/// materialized-meet form (one vector AND, then a single-operand masked
-/// walk) where cubes are wide enough to pay for it.
-#[inline]
-fn wide_meet_valid<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) -> bool {
-    let w = a.len();
-    if (MEET_MATERIALIZE_MIN..=MEET_BUF_WORDS).contains(&w) {
-        let mut m = [0u64; MEET_BUF_WORDS];
-        k.and_into(&mut m[..w], a, b);
-        fd.meet_all_vars_nonempty(&m[..w])
-    } else {
-        (0..fd.num_vars()).all(|v| !fd.meet_var_empty(a, b, v))
-    }
-}
-
-/// Wide `distance`: materialized-meet counterpart of [`wide_meet_valid`].
-#[inline]
-fn wide_distance<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
-    let w = a.len();
-    if (MEET_MATERIALIZE_MIN..=MEET_BUF_WORDS).contains(&w) {
-        let mut m = [0u64; MEET_BUF_WORDS];
-        k.and_into(&mut m[..w], a, b);
-        fd.meet_empty_vars(&m[..w])
-    } else {
-        (0..fd.num_vars())
-            .filter(|&v| fd.meet_var_empty(a, b, v))
-            .count()
-    }
-}
-
-/// Stride-monomorphized body of the wide legality sweep: for each cube of
-/// `list`, materialize the meet with `a` as one `W`-word block and test
-/// each variable's full-stride mask ([`FlatDomain::var_masks`]) against it
-/// — `acc == 0` is exactly "the variable's literal is empty in the meet".
-/// Branch-free inner reductions keep the block in vector registers; the
-/// early returns mirror the scalar form's short-circuits bit for bit.
-#[inline(always)]
-fn sweep_body_fixed<const W: usize>(var_masks: &[u64], list: &[u64], a: &[u64]) -> bool {
-    let mut av = [0u64; W];
-    av.copy_from_slice(&a[..W]);
-    'cubes: for o in list.chunks_exact(W) {
-        let mut m = [0u64; W];
-        for k in 0..W {
-            m[k] = av[k] & o[k];
-        }
-        for vm in var_masks.chunks_exact(W) {
-            let mut acc = 0u64;
-            for k in 0..W {
-                acc |= m[k] & vm[k];
-            }
-            if acc == 0 {
-                continue 'cubes; // some literal empty: this meet is invalid
-            }
-        }
-        return false; // every literal non-empty: a valid meet exists
-    }
-    true
-}
-
-/// Runtime-stride fallback of [`sweep_body_fixed`] for rungs without a
-/// monomorphized width.
-#[inline]
-fn sweep_body_dyn(var_masks: &[u64], list: &[u64], w: usize, a: &[u64]) -> bool {
-    'cubes: for o in list.chunks_exact(w) {
-        for vm in var_masks.chunks_exact(w) {
-            let mut acc = 0u64;
-            for k in 0..w {
-                acc |= a[k] & o[k] & vm[k];
-            }
-            if acc == 0 {
-                continue 'cubes;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Width dispatch for the wide legality sweep — the strides the engine's
-/// rungs actually produce get the monomorphized body. `inline(always)` so
-/// the bodies land inside the AVX2 `target_feature` wrapper and pick up
-/// its codegen.
-#[inline(always)]
-fn wide_sweep_meets_all_invalid(fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-    let var_masks = fd.var_masks();
-    match w {
-        2 => sweep_body_fixed::<2>(var_masks, list, a),
-        4 => sweep_body_fixed::<4>(var_masks, list, a),
-        8 => sweep_body_fixed::<8>(var_masks, list, a),
-        _ => sweep_body_dyn(var_masks, list, w, a),
-    }
 }
 
 /// The portable wide backend: 4-lane unrolled loops, compiled everywhere.
@@ -382,21 +255,6 @@ impl Kern for PortableKern {
     #[inline]
     fn cofactor_into(self, out: &mut [u64], x: &[u64], p: &[u64], full: &[u64]) {
         portable::cofactor_into(out, x, p, full);
-    }
-
-    #[inline]
-    fn meet_valid(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> bool {
-        wide_meet_valid(self, fd, a, b)
-    }
-
-    #[inline]
-    fn distance(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
-        wide_distance(self, fd, a, b)
-    }
-
-    #[inline]
-    fn sweep_meets_all_invalid(self, fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-        wide_sweep_meets_all_invalid(fd, list, w, a)
     }
 }
 
@@ -448,22 +306,6 @@ impl Kern for Avx2Kern {
     fn cofactor_into(self, out: &mut [u64], x: &[u64], p: &[u64], full: &[u64]) {
         // SAFETY: as above.
         unsafe { avx2::cofactor_into(out, x, p, full) }
-    }
-
-    #[inline]
-    fn meet_valid(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> bool {
-        wide_meet_valid(self, fd, a, b)
-    }
-
-    #[inline]
-    fn distance(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
-        wide_distance(self, fd, a, b)
-    }
-
-    #[inline]
-    fn sweep_meets_all_invalid(self, fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-        // SAFETY: Avx2Kern is only constructed behind `avx2_active()`.
-        unsafe { avx2::sweep_meets_all_invalid(fd, list, w, a) }
     }
 }
 
@@ -855,20 +697,6 @@ mod avx2 {
             *dp.add(i) &= !*sp.add(i);
             i += 1;
         }
-    }
-
-    /// The expand legality sweep under AVX2 codegen: one `target_feature`
-    /// boundary for the whole off-set instead of one per cube, so the
-    /// `#[inline(always)]` sweep bodies vectorize inside it and `a` stays
-    /// in registers across the list.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sweep_meets_all_invalid(
-        fd: &crate::flat::FlatDomain,
-        list: &[u64],
-        w: usize,
-        a: &[u64],
-    ) -> bool {
-        super::wide_sweep_meets_all_invalid(fd, list, w, a)
     }
 }
 
@@ -1427,40 +1255,6 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if avx2_active() {
             check(Avx2Kern);
-        }
-    }
-
-    #[test]
-    fn wide_meet_kernels_match_scalar_on_mv_domains() {
-        use crate::domain::DomainBuilder;
-
-        let dom = DomainBuilder::new()
-            .multi("s", 70)
-            .binary("a")
-            .multi("t", 60)
-            .build();
-        let fd = FlatDomain::new(&dom);
-        let w = fd.words();
-        let mut rng = Rng(42);
-        fn check<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) {
-            let s = ScalarKern;
-            assert_eq!(k.meet_valid(fd, a, b), s.meet_valid(fd, a, b));
-            assert_eq!(k.distance(fd, a, b), s.distance(fd, a, b));
-        }
-        for _ in 0..200 {
-            let mut a = rng.words(w);
-            let mut b = rng.words(w);
-            for (x, f) in a.iter_mut().zip(fd.full()) {
-                *x &= f;
-            }
-            for (x, f) in b.iter_mut().zip(fd.full()) {
-                *x &= f;
-            }
-            check(PortableKern, &fd, &a, &b);
-            #[cfg(target_arch = "x86_64")]
-            if avx2_active() {
-                check(Avx2Kern, &fd, &a, &b);
-            }
         }
     }
 

@@ -2,17 +2,19 @@
 //! `Vec<Cube>` reference.
 //!
 //! Three layers are pinned down here:
-//! 1. the generic word-parallel kernels (`cube_*_into`) against the legacy
-//!    [`Cube`] operations, on mixed binary/multi-valued and multi-word
-//!    domains;
+//! 1. the generic word-parallel kernels (`cube_*_into`, `cube_distance`)
+//!    against the legacy [`Cube`] operations, on mixed binary/multi-valued
+//!    and multi-word domains, including binary variables that straddle a
+//!    word boundary and a three-word domain;
 //! 2. [`flat_espresso_bounded`] against [`espresso_bounded`] — bit-identical
 //!    covers, completions, and byte-identical traces, on unlimited and
 //!    tightly bounded budgets alike. The corpus spans every
 //!    rung of the flat engine's specialization ladder: the single-word
-//!    binary fast path plus multi-valued domains at 1-, 2-, 4-, and 8-word
-//!    strides (mixed part counts up to 70 parts per variable), so the
-//!    legacy engine's only remaining role — independent oracle — is
-//!    exercised on exactly the domains the flat engine now owns;
+//!    binary fast path plus multi-valued domains at 1-, 2-, 3- (padded to
+//!    4 by the Wide backend), 4-, and 8-word strides (mixed part counts up
+//!    to 70 parts per variable), so the legacy engine's only remaining
+//!    role — independent oracle — is exercised on exactly the domains the
+//!    flat engine now owns;
 //! 3. the [`MinimizeCache`] view over a [`GlobalMinimizeCache`] — memo
 //!    lookups, uncached lookups, flat, and legacy must all agree.
 
@@ -95,6 +97,45 @@ fn mv_cube(dom: &Domain) -> impl Strategy<Value = Cube> {
         }
         c
     })
+}
+
+/// A two-word domain whose binary variable `a` straddles the word boundary
+/// (parts 63–64), so the popcount meet test must leave it to the span
+/// walk.
+fn straddle_domain() -> Domain {
+    DomainBuilder::new()
+        .multi("s", 63)
+        .binary("a")
+        .binaries("x", 20)
+        .multi("t", 5)
+        .build()
+}
+
+/// A three-word domain (131 parts), which the Wide backend pads to its
+/// four-word rung, with a word-straddling binary variable (parts 63–64)
+/// next to an in-word one.
+fn three_word_mv_domain() -> Domain {
+    DomainBuilder::new()
+        .multi("s", 63)
+        .binary("a")
+        .binary("b")
+        .multi("t", 64)
+        .build()
+}
+
+/// A cube keeping part `p` when `picks[p] != 0`; a variable left with no
+/// part is raised to full, so the cube stays valid.
+fn cube_from_picks(dom: &Domain, picks: &[u8]) -> Cube {
+    let mut c = Cube::full(dom);
+    for v in 0..dom.num_vars() {
+        let range = dom.var(v).part_range();
+        if range.clone().any(|p| picks[p] != 0) {
+            for p in range.filter(|&p| picks[p] == 0) {
+                c.clear_part(p);
+            }
+        }
+    }
+    c
 }
 
 /// A one-word multi-valued domain (10 parts): the generic engine's
@@ -244,6 +285,41 @@ fn assert_engines_agree(on: &Cover, dc: &Cover, limit: Option<u64>) -> Result<()
     Ok(())
 }
 
+/// The generic word kernels (`cube_*`) against the legacy [`Cube`]
+/// operations on one pair of valid cubes.
+fn assert_kernels_mirror(dom: &Domain, a: &Cube, b: &Cube) -> Result<(), TestCaseError> {
+    let fd = FlatDomain::new(dom);
+    prop_assert!(
+        !flat_eligible(dom),
+        "this corpus must exercise the generic path"
+    );
+    prop_assert_eq!(fd.words(), dom.words());
+
+    prop_assert_eq!(cube_is_valid(&fd, a.words()), a.is_valid(dom));
+    prop_assert_eq!(cube_contains(a.words(), b.words()), a.covers(b));
+    prop_assert_eq!(cube_distance(&fd, a.words(), b.words()), a.distance(b, dom));
+
+    let mut out = vec![0u64; fd.words()];
+    cube_and_into(a.words(), b.words(), &mut out);
+    let meet = a.and(b);
+    prop_assert_eq!(out.as_slice(), meet.words());
+
+    let legacy_cons = a.consensus(b, dom);
+    let got = cube_consensus_into(&fd, a.words(), b.words(), &mut out);
+    prop_assert_eq!(got, legacy_cons.is_some());
+    if let Some(k) = legacy_cons {
+        prop_assert_eq!(out.as_slice(), k.words());
+    }
+
+    let legacy_cof = a.cofactor(b, dom);
+    let got = cube_cofactor_into(&fd, a.words(), b.words(), &mut out);
+    prop_assert_eq!(got, legacy_cof.is_some());
+    if let Some(k) = legacy_cof {
+        prop_assert_eq!(out.as_slice(), k.words());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -279,34 +355,15 @@ proptest! {
         (a, b) in {
             let dom = mv_domain();
             (mv_cube(&dom), mv_cube(&dom))
-        }
+        },
+        picks_a in proptest::collection::vec(0u8..3, 192),
+        picks_b in proptest::collection::vec(0u8..3, 192),
     ) {
-        let dom = mv_domain();
-        let fd = FlatDomain::new(&dom);
-        prop_assert!(!flat_eligible(&dom), "this corpus must exercise the generic path");
-        prop_assert_eq!(fd.words(), dom.words());
-
-        prop_assert_eq!(cube_is_valid(&fd, a.words()), a.is_valid(&dom));
-        prop_assert_eq!(cube_contains(a.words(), b.words()), a.covers(&b));
-        prop_assert_eq!(cube_distance(&fd, a.words(), b.words()), a.distance(&b, &dom));
-
-        let mut out = vec![0u64; fd.words()];
-        cube_and_into(a.words(), b.words(), &mut out);
-        let meet = a.and(&b);
-        prop_assert_eq!(out.as_slice(), meet.words());
-
-        let legacy_cons = a.consensus(&b, &dom);
-        let got = cube_consensus_into(&fd, a.words(), b.words(), &mut out);
-        prop_assert_eq!(got, legacy_cons.is_some());
-        if let Some(k) = legacy_cons {
-            prop_assert_eq!(out.as_slice(), k.words());
-        }
-
-        let legacy_cof = a.cofactor(&b, &dom);
-        let got = cube_cofactor_into(&fd, a.words(), b.words(), &mut out);
-        prop_assert_eq!(got, legacy_cof.is_some());
-        if let Some(k) = legacy_cof {
-            prop_assert_eq!(out.as_slice(), k.words());
+        assert_kernels_mirror(&mv_domain(), &a, &b)?;
+        // binary variables across a word boundary, and the padded stride
+        for dom in [straddle_domain(), three_word_mv_domain()] {
+            let (a, b) = (cube_from_picks(&dom, &picks_a), cube_from_picks(&dom, &picks_b));
+            assert_kernels_mirror(&dom, &a, &b)?;
         }
     }
 
@@ -369,6 +426,14 @@ proptest! {
     // count: the legacy oracle allocates per cube per pass, and 504-part
     // domains make that the dominant cost of the whole suite.
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn flat_mv_engine_matches_legacy_three_word(
+        (on, dc) in mv_engine_corpus(three_word_mv_domain(), 4, 2),
+    ) {
+        prop_assert_eq!(on.domain().words(), 3);
+        assert_engines_agree(&on, &dc, None)?;
+    }
 
     #[test]
     fn flat_mv_engine_matches_legacy_four_word(

@@ -46,6 +46,11 @@ cargo test -q --offline -p picola-logic --test prop_sat
 echo "== golden table fixtures"
 sh scripts/regen_tables.sh --check
 
+echo "== extraction golden on scf (release)"
+# tests/extract_golden.rs pins extraction on every suite row; the scf row
+# runs full multi-valued ESPRESSO, so it is ignored in debug and runs here.
+cargo test -q --offline --release --test extract_golden -- --ignored
+
 echo "== bench_json --smoke (obs metrics + work regression vs BENCH_pr3.json)"
 cargo run -q --offline --release -p picola-bench --bin bench_json -- \
     --smoke --out /tmp/bench_smoke.json
