@@ -13,10 +13,6 @@
 //! * multi-valued covers (`mv_ab`): the instance's constraints rendered as
 //!   a symbol×tag MV cover and minimized flat vs legacy — the domains the
 //!   flat engine used to silently fall back on, now first-class;
-//! * the kernel backend (`kernel_ab`): the same MV cover minimized with the
-//!   wide (AVX2/portable) cube kernels pinned vs scalar pinned — work and
-//!   costs must be bit-identical, so wall-per-work is the honest kernel
-//!   speedup;
 //! * the optimality gap (`sat_ab`): on instances inside the SAT oracle's
 //!   size guard (`nv <= 4`), the proven optimum vs every heuristic
 //!   member's exact cost — the oracle's witness must re-cost bit-for-bit
@@ -56,10 +52,7 @@ use picola_core::{
     EngineConfig, EngineHandle, EvalContext, EvalOptions, GlobalMinimizeCache, PicolaOptions,
     RefineEngine,
 };
-use picola_logic::{
-    obs, set_backend_override, Counter, Cover, Cube, DomainBuilder, KernelBackend, MinimizeCache,
-    SpanSnapshot, Trace,
-};
+use picola_logic::{obs, Counter, Cover, Cube, DomainBuilder, MinimizeCache, SpanSnapshot, Trace};
 use picola_sat::{exact_cost, ExactOracle};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -186,7 +179,6 @@ struct InstanceReport {
     eval_ab: AbReport,
     enc_ab: AbReport,
     mv_ab: AbReport,
-    kernel_ab: AbReport,
     serve_ab: ServeAbReport,
     sat_ab: SatAbReport,
 }
@@ -660,90 +652,6 @@ fn run_mv_ab(inst: &Instance) -> Result<AbReport, String> {
     })
 }
 
-/// Kernel backend A/B (`kernel_ab`): minimizes the instance's symbol×tag
-/// MV cover `KERNEL_PASSES` times per leg on the flat engine with the
-/// kernel backend pinned per leg — Wide first, Scalar as the baseline.
-/// Uncached lookups both legs, so every pass runs the minimizer; work =
-/// minimize calls. The kernels' bit-identity contract makes costs and work
-/// identical across legs (asserted here, gated again in
-/// `scripts/check_bench_metrics.py`), so wall-per-work compares pure kernel
-/// throughput. Each leg also enforces the dispatch tripwire: a pinned
-/// backend must actually serve every dispatched multi-word run.
-fn run_kernel_ab(inst: &Instance) -> Result<AbReport, String> {
-    const KERNEL_PASSES: usize = 24;
-    const AB_REPS: usize = 3;
-    let (on, dc) = mv_cover(inst);
-    let backends = [(KernelBackend::Wide, "wide"), (KernelBackend::Scalar, "scalar")];
-    let mut bests: [Option<AbLeg>; 2] = [None, None];
-    // Repetitions interleave the two backends (wide, scalar, wide, …) so
-    // drift on a shared box hits both legs alike instead of biasing
-    // whichever leg happens to run later.
-    for _ in 0..AB_REPS {
-        for (slot, &(backend, leg_name)) in backends.iter().enumerate() {
-            let best = &mut bests[slot];
-            let prev = set_backend_override(Some(backend));
-            let trace = Trace::new();
-            let mut cache = MinimizeCache::new();
-            let mut cost = 0usize;
-            let t = Instant::now();
-            {
-                let span = trace.recorder().span("kernel-ab");
-                let _cur = obs::enter(span.recorder());
-                for _ in 0..KERNEL_PASSES {
-                    cost += cache.minimized_cube_count_uncached(&on, &dc, CoverEngine::Flat);
-                }
-            }
-            let wall_ns = t.elapsed().as_nanos() as u64;
-            set_backend_override(prev);
-            let work = trace.counter_total(Counter::MinimizeCalls);
-            let dispatches = trace.counter_total(Counter::KernelDispatches);
-            let served = match backend {
-                KernelBackend::Wide => trace.counter_total(Counter::KernelWideCalls),
-                KernelBackend::Scalar => trace.counter_total(Counter::KernelScalarCalls),
-            };
-            if served != dispatches {
-                return Err(format!(
-                    "{}: kernel {leg_name}: backend not exercised \
-                     ({served} of {dispatches} dispatches)",
-                    inst.name
-                ));
-            }
-            let leg = AbLeg {
-                engine: leg_name,
-                cache: false,
-                wall_ns,
-                work,
-                cache_hits: cache.hits(),
-                cache_misses: cache.misses(),
-                cost,
-            };
-            if let Some(prev) = best.as_ref() {
-                if (prev.work, prev.cost) != (leg.work, leg.cost) {
-                    return Err(format!(
-                        "{}: kernel {leg_name}: nondeterministic leg \
-                         (work {} vs {}, cost {} vs {})",
-                        inst.name, prev.work, leg.work, prev.cost, leg.cost
-                    ));
-                }
-            }
-            if best.as_ref().is_none_or(|p| leg.wall_ns < p.wall_ns) {
-                *best = Some(leg);
-            }
-        }
-    }
-    let mut legs = Vec::new();
-    for best in bests {
-        legs.push(best.ok_or("kernel A/B: no repetitions ran")?);
-    }
-    let matches = legs.iter().all(|l| l.cost == legs[0].cost && l.work == legs[0].work);
-    let speedup_per_work = per_work_speedup(&legs);
-    Ok(AbReport {
-        legs,
-        matches,
-        speedup_per_work,
-    })
-}
-
 /// One leg of the streaming-store A/B.
 struct StreamLeg {
     name: &'static str,
@@ -1047,7 +955,6 @@ fn run_instance(inst: Instance, opts: &Options) -> Result<InstanceReport, String
     let eval_ab = run_eval_ab(&inst, &member_encodings)?;
     let enc_ab = run_enc_ab(&inst)?;
     let mv_ab = run_mv_ab(&inst)?;
-    let kernel_ab = run_kernel_ab(&inst)?;
     let serve_ab = run_serve_ab(&inst)?;
     let sat_ab = run_sat_ab(&inst, &encoders, &member_encodings)?;
 
@@ -1058,7 +965,6 @@ fn run_instance(inst: Instance, opts: &Options) -> Result<InstanceReport, String
         eval_ab,
         enc_ab,
         mv_ab,
-        kernel_ab,
         serve_ab,
         sat_ab,
         metrics: trace.snapshot(),
@@ -1080,7 +986,7 @@ fn ms(d: Duration) -> String {
 fn emit(reports: &[InstanceReport], stream: &StreamAb, opts: &Options) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": \"picola-bench/bench_json/v9\",");
+    let _ = writeln!(j, "  \"schema\": \"picola-bench/bench_json/v10\",");
     let _ = writeln!(j, "  \"seed\": {},", opts.seed);
     let _ = writeln!(j, "  \"threads\": {},", opts.threads);
     let _ = writeln!(j, "  \"smoke\": {},", opts.smoke);
@@ -1160,7 +1066,6 @@ fn emit(reports: &[InstanceReport], stream: &StreamAb, opts: &Options) -> String
             ("eval_ab", &r.eval_ab),
             ("enc_ab", &r.enc_ab),
             ("mv_ab", &r.mv_ab),
-            ("kernel_ab", &r.kernel_ab),
         ] {
             let _ = writeln!(j, "      \"{label}\": {{");
             let _ = writeln!(j, "        \"legs\": [");
@@ -1340,7 +1245,6 @@ fn emit(reports: &[InstanceReport], stream: &StreamAb, opts: &Options) -> String
         ("eval", (|r: &InstanceReport| &r.eval_ab) as fn(&InstanceReport) -> &AbReport),
         ("enc", |r: &InstanceReport| &r.enc_ab),
         ("mv", |r: &InstanceReport| &r.mv_ab),
-        ("kernel", |r: &InstanceReport| &r.kernel_ab),
     ] {
         let n_legs = reports.first().map_or(0, |r| pick(r).legs.len());
         let mut sums: Vec<AbLeg> = Vec::new();
@@ -1498,7 +1402,7 @@ fn main() {
                 eprintln!(
                     "{name}: winner {} (cost {}), seq {} ms / par {} ms, \
                      refine speedup {:.2}x, eval {:.2}x, enc {:.2}x, \
-                     mv {:.2}x, kernel {:.2}x, serve warm {:.2}x @ {:.0}% hits{}",
+                     mv {:.2}x, serve warm {:.2}x @ {:.0}% hits{}",
                     r.winner,
                     r.winning_cost,
                     ms(r.seq_wall),
@@ -1507,7 +1411,6 @@ fn main() {
                     r.eval_ab.speedup_per_work,
                     r.enc_ab.speedup_per_work,
                     r.mv_ab.speedup_per_work,
-                    r.kernel_ab.speedup_per_work,
                     r.serve_ab.speedup,
                     r.serve_ab.warm_hit_rate * 100.0,
                     if r.sat_ab.skipped {

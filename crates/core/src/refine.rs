@@ -316,9 +316,9 @@ fn cube_hits(forbidden: &[u64], seed: u32, cand: u32, nv: usize, mask: &mut Vec<
 /// The mask arithmetic lives in the shared [`MaskKernel`] implementations
 /// (`picola_logic::simd`): one-word and two-word code spaces stay in
 /// registers, wider spaces use the caller's scratch slices and the
-/// dispatched wide disjointness kernel. All three widths walk the *same*
+/// lane-unrolled disjointness kernel. All three widths walk the *same*
 /// greedy loop below, so merge decisions — and hence counts — are
-/// bit-identical across widths and backends.
+/// bit-identical across widths.
 fn greedy_cover_count_masked(
     uncovered: &mut Vec<u32>,
     forbidden: &[u64],

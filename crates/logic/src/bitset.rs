@@ -13,9 +13,7 @@
 //! packed words and interoperate through raw `&[u64]` slices.
 //!
 //! The bulk word sweeps (union, intersection, difference, disjointness)
-//! route through the dispatched kernels in [`crate::simd`], so they pick
-//! up the AVX2 backend on capable hosts while staying bit-identical to
-//! the plain loops everywhere else.
+//! are the lane-unrolled slice helpers in [`crate::simd`].
 
 /// A fixed-universe set of `usize` indices packed into `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

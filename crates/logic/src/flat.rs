@@ -18,8 +18,11 @@
 //!     variables, > 64 total parts), where each cube is a `&[u64]` chunk of
 //!     stride `words()`. The stride is threaded through a zero-sized
 //!     `Stride` type parameter, so the 1/2/4-word instantiations compile
-//!     to register-blocked straight-line kernels and only wider domains pay
-//!     a counted loop.
+//!     to register-blocked straight-line kernels, three-word domains are
+//!     padded onto the 4-word rung, and only wider domains pay a counted
+//!     loop. Its whole-cube word operations (containment, OR, AND, the
+//!     cofactor body) are the lane-unrolled loops of [`crate::simd`], the
+//!     same functions the public `cube_*` kernels above call.
 //!
 //!   Both run the full ESPRESSO loop (expand / reduce / irredundant /
 //!   essentials / last-gasp, with the unate-recursive tautology and
@@ -53,7 +56,7 @@ use crate::cube::Cube;
 use crate::domain::Domain;
 use crate::espresso::MinimizeOptions;
 use crate::obs;
-use crate::simd::{self, AlignedWords, Kern, KernelBackend, ScalarKern};
+use crate::simd;
 
 // ---------------------------------------------------------------------------
 // Generic flat layer: FlatDomain, FlatCover, word-parallel kernels
@@ -238,8 +241,8 @@ impl FlatDomain {
     /// operation ignores the padding, and the padded words of `full` are
     /// zero, so the cofactor body `(x | !p) & full` keeps them zero too —
     /// cubes that start zero-padded stay zero-padded through the whole
-    /// engine. Used by the Wide backend to lift awkward strides onto a
-    /// monomorphized power-of-two rung.
+    /// engine. The padded rung uses it to lift three-word domains onto the
+    /// monomorphized four-word rung.
     pub(crate) fn padded_to(&self, words: usize) -> FlatDomain {
         debug_assert!(words >= self.words);
         let mut fd = self.clone();
@@ -262,15 +265,13 @@ pub fn cube_is_valid(fd: &FlatDomain, c: &[u64]) -> bool {
 /// Word-parallel meet: `out = a ∧ b`. All slices must share the domain's
 /// stride.
 pub fn cube_and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x & y;
-    }
+    simd::and_into(out, a, b);
 }
 
 /// Whether cube `a` contains (covers) cube `b`: every part of `b` is a part
 /// of `a`.
 pub fn cube_contains(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(&x, &y)| y & !x == 0)
+    simd::covers(a, b)
 }
 
 /// Number of variables whose literal is empty in the meet of `a` and `b` —
@@ -310,9 +311,7 @@ pub fn cube_cofactor_into(fd: &FlatDomain, a: &[u64], p: &[u64], out: &mut [u64]
             return false;
         }
     }
-    for (k, o) in out.iter_mut().enumerate() {
-        *o = (a[k] | !p[k]) & fd.full[k];
-    }
+    simd::cofactor_into(out, a, p, &fd.full);
     true
 }
 
@@ -322,9 +321,7 @@ pub fn cube_cofactor_into(fd: &FlatDomain, a: &[u64], p: &[u64], out: &mut [u64]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatCover {
     stride: usize,
-    /// 64-byte-aligned backing store (see [`AlignedWords`]): wide loads
-    /// from the buffer head never straddle a cache line.
-    words: AlignedWords,
+    words: Vec<u64>,
 }
 
 impl FlatCover {
@@ -332,7 +329,7 @@ impl FlatCover {
     pub fn new(stride: usize) -> FlatCover {
         FlatCover {
             stride: stride.max(1),
-            words: AlignedWords::new(),
+            words: Vec::new(),
         }
     }
 
@@ -411,7 +408,7 @@ impl FlatCover {
 /// the ENC baseline) owns its own.
 #[derive(Debug, Default)]
 pub struct MinimizeScratch {
-    free: Vec<AlignedWords>,
+    free: Vec<Vec<u64>>,
     pairs: Vec<(usize, usize)>,
     flags: Vec<bool>,
     /// EXPAND's blocking count per off-set cube.
@@ -435,20 +432,19 @@ impl MinimizeScratch {
     }
 
     /// Takes a cleared word buffer from the pool (allocating only when the
-    /// pool is empty). Buffers are [`AlignedWords`], so every pooled
-    /// allocation honors the 64-byte alignment contract.
-    pub(crate) fn take(&mut self) -> AlignedWords {
+    /// pool is empty).
+    pub(crate) fn take(&mut self) -> Vec<u64> {
         match self.free.pop() {
             Some(mut v) => {
                 v.clear();
                 v
             }
-            None => AlignedWords::new(),
+            None => Vec::new(),
         }
     }
 
     /// Returns a buffer to the pool for reuse.
-    pub(crate) fn give(&mut self, v: AlignedWords) {
+    pub(crate) fn give(&mut self, v: Vec<u64>) {
         self.free.push(v);
     }
 
@@ -608,7 +604,7 @@ fn sort_expand_order(v: &mut [(usize, usize)]) {
 /// legacy prefilter (`sig & !ksig != 0`) is exact and the subsequent
 /// `covers` check always succeeds when reached — the counters still mirror
 /// the legacy accounting.
-fn scc_w(cubes: &mut AlignedWords) {
+fn scc_w(cubes: &mut Vec<u64>) {
     sort_desc_parts(cubes);
     let mut pairs = 0u64;
     let mut prefilter_rejects = 0u64;
@@ -701,7 +697,7 @@ fn taut_rec_w(ctx: BinCtx, cubes: &[u64], scratch: &mut MinimizeScratch) -> bool
 /// Complement of a single cube: one cube per non-full variable, in variable
 /// order (mirrors the legacy `cube_complement`; for binary domains the
 /// result cubes are always valid).
-fn cube_complement_w(ctx: BinCtx, c: u64, out: &mut AlignedWords) {
+fn cube_complement_w(ctx: BinCtx, c: u64, out: &mut Vec<u64>) {
     for v in 0..ctx.nv {
         let mask = 3u64 << (2 * v);
         if c & mask == mask {
@@ -715,7 +711,7 @@ fn cube_complement_w(ctx: BinCtx, c: u64, out: &mut AlignedWords) {
 /// most binate variable, lift cubes common to both branch complements, and
 /// finish with an scc pass (counters fire, as in the legacy
 /// `Cover::from_cubes` + `scc` epilogue).
-fn compl_rec_w(ctx: BinCtx, cubes: &[u64], out: &mut AlignedWords, scratch: &mut MinimizeScratch) {
+fn compl_rec_w(ctx: BinCtx, cubes: &[u64], out: &mut Vec<u64>, scratch: &mut MinimizeScratch) {
     debug_assert!(out.is_empty());
     if cubes.is_empty() {
         out.push(ctx.full);
@@ -787,7 +783,7 @@ fn cover_covers_cube_w(ctx: BinCtx, f: &[u64], c: u64, scratch: &mut MinimizeScr
 
 // --- espresso passes ------------------------------------------------------
 
-fn expand_w(ctx: BinCtx, f: &mut AlignedWords, off: &[u64], scratch: &mut MinimizeScratch) {
+fn expand_w(ctx: BinCtx, f: &mut Vec<u64>, off: &[u64], scratch: &mut MinimizeScratch) {
     sort_asc_parts(f);
     let n = f.len();
     let mut covered = std::mem::take(&mut scratch.flags);
@@ -831,7 +827,7 @@ fn expand_w(ctx: BinCtx, f: &mut AlignedWords, off: &[u64], scratch: &mut Minimi
     scratch.flags = covered;
 }
 
-fn reduce_w(ctx: BinCtx, f: &mut AlignedWords, dc: &[u64], scratch: &mut MinimizeScratch) {
+fn reduce_w(ctx: BinCtx, f: &mut Vec<u64>, dc: &[u64], scratch: &mut MinimizeScratch) {
     sort_desc_parts(f);
     let mut rest = scratch.take();
     let mut g = scratch.take();
@@ -873,7 +869,7 @@ fn reduce_w(ctx: BinCtx, f: &mut AlignedWords, dc: &[u64], scratch: &mut Minimiz
     scratch.give(rest);
 }
 
-fn irredundant_w(ctx: BinCtx, f: &mut AlignedWords, dc: &[u64], scratch: &mut MinimizeScratch) {
+fn irredundant_w(ctx: BinCtx, f: &mut Vec<u64>, dc: &[u64], scratch: &mut MinimizeScratch) {
     sort_desc_parts(f);
     let n = f.len();
     let mut keep = std::mem::take(&mut scratch.flags);
@@ -908,7 +904,7 @@ fn essentials_w(
     ctx: BinCtx,
     f: &[u64],
     dc: &[u64],
-    out: &mut AlignedWords,
+    out: &mut Vec<u64>,
     scratch: &mut MinimizeScratch,
 ) {
     let mut h = scratch.take();
@@ -951,7 +947,7 @@ fn essentials_w(
 /// cheaper cover (mirrors the legacy `last_gasp`).
 fn gasp_w(
     ctx: BinCtx,
-    f: &mut AlignedWords,
+    f: &mut Vec<u64>,
     dc: &[u64],
     off: &[u64],
     scratch: &mut MinimizeScratch,
@@ -1062,7 +1058,7 @@ pub(crate) fn espresso_words(
     opts: &MinimizeOptions,
     budget: &Budget,
     scratch: &mut MinimizeScratch,
-) -> (AlignedWords, Completion) {
+) -> (Vec<u64>, Completion) {
     let span = obs::current_or(budget.recorder()).span("espresso");
     let _cur = obs::enter(span.recorder());
 
@@ -1179,8 +1175,9 @@ pub(crate) fn espresso_words(
 // is a `&[u64]` chunk of fixed stride `words()` inside pooled buffers; the
 // stride is carried by the zero-sized `Stride` parameter below so the
 // monomorphized 1/2/4-word engines see a compile-time constant (the word
-// loops unroll into register-blocked straight-line code) while wider domains
-// share one dynamic-stride instantiation. Every kernel mirrors its legacy
+// loops unroll into register-blocked straight-line code), three-word domains
+// run padded on the 4-word engine, and wider domains share one
+// dynamic-stride instantiation. Every kernel mirrors its legacy
 // `Vec<Cube>` counterpart exactly — orderings, branch variables, counters —
 // so `flat_espresso_bounded` stays bit-identical to `espresso_bounded`.
 
@@ -1244,7 +1241,7 @@ fn chunk_member(list: &[u64], c: &[u64], w: usize) -> bool {
 /// ascending or (`desc`) descending. A stable sort's permutation is unique
 /// for given keys, so this is the legacy stable `sort_by_key` on the same
 /// key, with the keys, buckets and output drawn from `scratch`.
-fn sort_chunks_by_parts(v: &mut AlignedWords, w: usize, desc: bool, scratch: &mut MinimizeScratch) {
+fn sort_chunks_by_parts(v: &mut Vec<u64>, w: usize, desc: bool, scratch: &mut MinimizeScratch) {
     let n = v.len() / w;
     if n < 2 {
         return;
@@ -1286,7 +1283,7 @@ fn sort_chunks_by_parts(v: &mut AlignedWords, w: usize, desc: bool, scratch: &mu
 
 /// Drops every chunk of `v` that appears verbatim in `list`, preserving
 /// order (the chunk analogue of `f.retain(|c| !list.contains(c))`).
-fn retain_chunks_not_in(v: &mut AlignedWords, list: &[u64], w: usize) {
+fn retain_chunks_not_in(v: &mut Vec<u64>, list: &[u64], w: usize) {
     let n = v.len() / w;
     let mut write = 0usize;
     for i in 0..n {
@@ -1299,18 +1296,18 @@ fn retain_chunks_not_in(v: &mut AlignedWords, list: &[u64], w: usize) {
     v.truncate(write * w);
 }
 
-/// Context of the generic engine: the flattened domain, the stride carrier,
-/// and the kernel backend carrier ([`Kern`]). Copy-cheap (two words plus two
-/// zero-sized carriers), threaded by value through the passes; each
-/// `Stride × Kern` pair monomorphizes its own straight-line engine.
+/// Context of the generic engine: the flattened domain and the stride
+/// carrier. Copy-cheap (one reference plus a zero-sized or one-word
+/// carrier), threaded by value through the passes; each `Stride`
+/// monomorphizes its own engine, whose whole-cube word operations are the
+/// lane-unrolled kernels of [`crate::simd`].
 #[derive(Clone, Copy)]
-struct MvCtx<'d, S: Stride, K: Kern> {
+struct MvCtx<'d, S: Stride> {
     fd: &'d FlatDomain,
     s: S,
-    k: K,
 }
 
-impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
+impl<S: Stride> MvCtx<'_, S> {
     #[inline(always)]
     fn w(&self) -> usize {
         self.s.w()
@@ -1323,12 +1320,12 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
 
     #[inline]
     fn is_full(&self, c: &[u64]) -> bool {
-        self.k.slices_eq(c, &self.fd.full)
+        simd::slices_eq(c, &self.fd.full)
     }
 
     #[inline]
     fn covers(&self, a: &[u64], b: &[u64]) -> bool {
-        self.k.covers(&a[..self.w()], &b[..self.w()])
+        simd::covers(&a[..self.w()], &b[..self.w()])
     }
 
     /// Whether the meet `a ∧ b` is a valid cube — the legacy
@@ -1370,7 +1367,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// Appends the general cofactor of every cube of `cubes` with respect to
     /// cube `p` (dropping non-intersecting cubes) — the legacy
     /// `cofactor_list` / `Cover::cofactor`.
-    fn cofactor_all(&self, cubes: &[u64], p: &[u64], out: &mut AlignedWords) {
+    fn cofactor_all(&self, cubes: &[u64], p: &[u64], out: &mut Vec<u64>) {
         let w = self.w();
         for x in cubes.chunks_exact(w) {
             if !self.meet_valid(x, p) {
@@ -1378,8 +1375,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
             }
             let base = out.len();
             out.resize(base + w, 0);
-            self.k
-                .cofactor_into(&mut out[base..base + w], x, p, &self.fd.full);
+            simd::cofactor_into(&mut out[base..base + w], x, p, &self.fd.full);
         }
     }
 
@@ -1391,7 +1387,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// untouched because `¬pc` is empty there). All tautology/complement
     /// recursion inputs are valid — covers hold only valid cubes and
     /// cofactors of valid cubes are valid — so this is exact.
-    fn cofactor_all_by_part(&self, cubes: &[u64], v: usize, p: usize, out: &mut AlignedWords) {
+    fn cofactor_all_by_part(&self, cubes: &[u64], v: usize, p: usize, out: &mut Vec<u64>) {
         let w = self.w();
         let q = self.fd.offsets[v] + p;
         let (qw, qb) = (q / 64, 1u64 << (q % 64));
@@ -1415,12 +1411,11 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// Appends the consensus of `a` and `b` (caller guarantees distance
     /// exactly 1): the meet everywhere, the union in the one conflicting
     /// variable — the legacy `Cube::consensus`.
-    fn push_consensus(&self, a: &[u64], b: &[u64], out: &mut AlignedWords) {
+    fn push_consensus(&self, a: &[u64], b: &[u64], out: &mut Vec<u64>) {
         let w = self.w();
         let base = out.len();
         out.resize(base + w, 0);
-        self.k
-            .and_into(&mut out[base..base + w], &a[..w], &b[..w]);
+        simd::and_into(&mut out[base..base + w], &a[..w], &b[..w]);
         for v in 0..self.fd.num_vars {
             if !self.fd.meet_var_empty(a, b, v) {
                 continue;
@@ -1438,7 +1433,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// sort by descending part count, fold-OR word signature prefilter, then
     /// the full per-word containment sweep — counter for counter the legacy
     /// accounting.
-    fn scc(&self, cubes: &mut AlignedWords, scratch: &mut MinimizeScratch) {
+    fn scc(&self, cubes: &mut Vec<u64>, scratch: &mut MinimizeScratch) {
         let w = self.w();
         sort_chunks_by_parts(cubes, w, true, scratch);
         let mut sigs = scratch.take();
@@ -1447,7 +1442,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         let mut prefilter_rejects = 0u64;
         let mut kept = 0usize;
         'outer: for i in 0..n {
-            let sig = self.k.fold_or(&cubes[i * w..(i + 1) * w]);
+            let sig = simd::fold_or(&cubes[i * w..(i + 1) * w]);
             // kept ≤ i, so the kept prefix and cube i are disjoint slices
             let (head, cur) = cubes.split_at(i * w);
             let cur = &cur[..w];
@@ -1457,7 +1452,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
                     prefilter_rejects += 1;
                     continue;
                 }
-                if self.k.covers(&head[k * w..(k + 1) * w], cur) {
+                if simd::covers(&head[k * w..(k + 1) * w], cur) {
                     continue 'outer; // an earlier kept cube covers this one
                 }
             }
@@ -1508,8 +1503,8 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         acc.resize(w, 0);
         let mut union_full = false;
         for c in cubes.chunks_exact(w) {
-            self.k.or_acc(&mut acc, c);
-            if self.k.slices_eq(&acc, &self.fd.full) {
+            simd::union_into(&mut acc, c);
+            if simd::slices_eq(&acc, &self.fd.full) {
                 union_full = true;
                 break;
             }
@@ -1539,7 +1534,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// variable order (full everywhere, the variable's admitted parts
     /// cleared). Always valid for a non-full variable, matching the legacy
     /// `is_valid` filter that never fires.
-    fn cube_complement(&self, c: &[u64], out: &mut AlignedWords) {
+    fn cube_complement(&self, c: &[u64], out: &mut Vec<u64>) {
         let w = self.w();
         for v in 0..self.fd.num_vars {
             if self.var_is_full(c, v) {
@@ -1560,7 +1555,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// complement, narrow the rest back to their branch part, and finish
     /// with an scc pass (base cases return before scc, as in the legacy
     /// code, so no counters fire for them).
-    fn compl_rec(&self, cubes: &[u64], out: &mut AlignedWords, scratch: &mut MinimizeScratch) {
+    fn compl_rec(&self, cubes: &[u64], out: &mut Vec<u64>, scratch: &mut MinimizeScratch) {
         debug_assert!(out.is_empty());
         let w = self.w();
         if cubes.is_empty() {
@@ -1579,7 +1574,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         };
         let parts = self.fd.parts[v];
         let mut branch = scratch.take();
-        let mut results: Vec<AlignedWords> = Vec::with_capacity(parts);
+        let mut results: Vec<Vec<u64>> = Vec::with_capacity(parts);
         for p in 0..parts {
             branch.clear();
             self.cofactor_all_by_part(cubes, v, p, &mut branch);
@@ -1652,7 +1647,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// on its variable. The weights are kept per part and lowered as cubes
     /// become covered. Decisions and order are those of a full off-set
     /// sweep per candidate part.
-    fn expand(&self, f: &mut AlignedWords, off: &[u64], scratch: &mut MinimizeScratch) {
+    fn expand(&self, f: &mut Vec<u64>, off: &[u64], scratch: &mut MinimizeScratch) {
         let w = self.w();
         let fd = self.fd;
         sort_chunks_by_parts(f, w, false, scratch);
@@ -1734,7 +1729,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         scratch.flags = covered;
     }
 
-    fn reduce(&self, f: &mut AlignedWords, dc: &[u64], scratch: &mut MinimizeScratch) {
+    fn reduce(&self, f: &mut Vec<u64>, dc: &[u64], scratch: &mut MinimizeScratch) {
         let w = self.w();
         sort_chunks_by_parts(f, w, true, scratch);
         let n = f.len() / w;
@@ -1745,7 +1740,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         for i in 0..n {
             c.clear();
             c.extend_from_slice(&f[i * w..(i + 1) * w]);
-            if self.k.is_zero(&c) {
+            if simd::is_zero(&c) {
                 // legacy: the complement of the (empty) cofactored rest is
                 // the universe with no scc pass, and the re-reduced cube
                 // stays invalid — counter-identical shortcut.
@@ -1769,7 +1764,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
             let fi = &mut f[i * w..(i + 1) * w];
             fi.fill(0);
             for chunk in h.chunks_exact(w) {
-                self.k.or_acc(fi, chunk);
+                simd::union_into(fi, chunk);
             }
             for k in 0..w {
                 fi[k] &= c[k];
@@ -1794,7 +1789,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         scratch.give(c);
     }
 
-    fn irredundant(&self, f: &mut AlignedWords, dc: &[u64], scratch: &mut MinimizeScratch) {
+    fn irredundant(&self, f: &mut Vec<u64>, dc: &[u64], scratch: &mut MinimizeScratch) {
         let w = self.w();
         sort_chunks_by_parts(f, w, true, scratch);
         let n = f.len() / w;
@@ -1830,7 +1825,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         &self,
         f: &[u64],
         dc: &[u64],
-        out: &mut AlignedWords,
+        out: &mut Vec<u64>,
         scratch: &mut MinimizeScratch,
     ) {
         let w = self.w();
@@ -1872,7 +1867,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
     /// strictly cheaper cover (mirrors the legacy `last_gasp`).
     fn gasp(
         &self,
-        f: &mut AlignedWords,
+        f: &mut Vec<u64>,
         dc: &[u64],
         off: &[u64],
         scratch: &mut MinimizeScratch,
@@ -1905,7 +1900,7 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
             let base = reduced.len();
             reduced.resize(base + w, 0);
             for chunk in h.chunks_exact(w) {
-                self.k.or_acc(&mut reduced[base..base + w], chunk);
+                simd::union_into(&mut reduced[base..base + w], chunk);
             }
             for k in 0..w {
                 reduced[base + k] &= c[k];
@@ -1986,14 +1981,14 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
 /// same `espresso.iter` budget ticks, same counter increments, same cube
 /// orderings. Returns the minimized cover as a pool buffer (the caller
 /// should [`MinimizeScratch::give`] it back) plus the budget completion.
-fn espresso_chunks<S: Stride, K: Kern>(
-    ctx: MvCtx<'_, S, K>,
+fn espresso_chunks<S: Stride>(
+    ctx: MvCtx<'_, S>,
     on: &[u64],
     dc: &[u64],
     opts: &MinimizeOptions,
     budget: &Budget,
     scratch: &mut MinimizeScratch,
-) -> (AlignedWords, Completion) {
+) -> (Vec<u64>, Completion) {
     let span = obs::current_or(budget.recorder()).span("espresso");
     let _cur = obs::enter(span.recorder());
 
@@ -2101,79 +2096,58 @@ fn espresso_chunks<S: Stride, K: Kern>(
     (f, budget.completion())
 }
 
-/// Runs the generic engine at the right stride rung for a fixed kernel
-/// backend `k`: the 2/4-word register-blocked specializations, the
-/// dynamic-stride fallback for wider domains. (The 1-word rung and the
-/// inline binary engine never reach here — see [`run_words`].)
-fn run_stride<K: Kern>(
+/// Runs the generic engine at its stride rung: the monomorphized 1/2/4-word
+/// rungs, three-word domains padded onto the 4-word rung ([`run_padded`]),
+/// and the dynamic-stride rung for wider domains.
+fn run_stride(
     fd: &FlatDomain,
-    k: K,
-    on_w: &[u64],
-    dc_w: &[u64],
+    on: &[u64],
+    dc: &[u64],
     opts: &MinimizeOptions,
     budget: &Budget,
     scratch: &mut MinimizeScratch,
-) -> (AlignedWords, Completion) {
+) -> (Vec<u64>, Completion) {
     match fd.words() {
-        2 => espresso_chunks(MvCtx { fd, s: FixedW::<2>, k }, on_w, dc_w, opts, budget, scratch),
-        4 => espresso_chunks(MvCtx { fd, s: FixedW::<4>, k }, on_w, dc_w, opts, budget, scratch),
-        w => espresso_chunks(MvCtx { fd, s: DynW(w), k }, on_w, dc_w, opts, budget, scratch),
+        1 => espresso_chunks(MvCtx { fd, s: FixedW::<1> }, on, dc, opts, budget, scratch),
+        2 => espresso_chunks(MvCtx { fd, s: FixedW::<2> }, on, dc, opts, budget, scratch),
+        3 => run_padded(fd, on, dc, opts, budget, scratch),
+        4 => espresso_chunks(MvCtx { fd, s: FixedW::<4> }, on, dc, opts, budget, scratch),
+        w => espresso_chunks(MvCtx { fd, s: DynW(w) }, on, dc, opts, budget, scratch),
     }
 }
 
-/// [`run_stride`] with the Wide backend's kernels: AVX2 when the CPU has
-/// it, the portable 4-lane fallback otherwise — bit-identical either way.
-fn run_stride_wide(
+/// The padded rung: a three-word domain runs on the monomorphized 4-word
+/// rung with a zero padding word per cube, so every word kernel is one
+/// straight-line 4-lane block instead of a runtime-length loop, and
+/// [`FlatDomain::padded_to`] guarantees the padding never influences a
+/// result. The padding is stripped again before returning, so callers only
+/// ever see the domain's true stride.
+fn run_padded(
     fd: &FlatDomain,
     on_w: &[u64],
     dc_w: &[u64],
     opts: &MinimizeOptions,
     budget: &Budget,
     scratch: &mut MinimizeScratch,
-) -> (AlignedWords, Completion) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_active() {
-        return run_wide_kern(fd, simd::Avx2Kern, on_w, dc_w, opts, budget, scratch);
-    }
-    run_wide_kern(fd, simd::PortableKern, on_w, dc_w, opts, budget, scratch)
-}
-
-/// The Wide backend's rung selection for a concrete kernel. Three-word
-/// domains are lifted to the monomorphized 4-word rung with a zero padding
-/// word per cube — every kernel op becomes one straight-line 256-bit lane
-/// instead of a runtime-length loop, and [`FlatDomain::padded_to`]
-/// guarantees the padding never influences a result. The padding is
-/// stripped again before returning, so callers only ever see the domain's
-/// true stride.
-fn run_wide_kern<K: Kern>(
-    fd: &FlatDomain,
-    k: K,
-    on_w: &[u64],
-    dc_w: &[u64],
-    opts: &MinimizeOptions,
-    budget: &Budget,
-    scratch: &mut MinimizeScratch,
-) -> (AlignedWords, Completion) {
-    if fd.words() == 3 {
-        let pfd = fd.padded_to(4);
-        let mut on_p = scratch.take();
-        pad_stride(on_w, 3, 4, &mut on_p);
-        let mut dc_p = scratch.take();
-        pad_stride(dc_w, 3, 4, &mut dc_p);
-        let (fp, completion) = run_stride(&pfd, k, &on_p, &dc_p, opts, budget, scratch);
-        let mut f = scratch.take();
-        unpad_stride(&fp, 4, 3, &mut f);
-        scratch.give(fp);
-        scratch.give(dc_p);
-        scratch.give(on_p);
-        return (f, completion);
-    }
-    run_stride(fd, k, on_w, dc_w, opts, budget, scratch)
+) -> (Vec<u64>, Completion) {
+    let fd = &fd.padded_to(4);
+    let mut on_p = scratch.take();
+    pad_stride(on_w, 3, 4, &mut on_p);
+    let mut dc_p = scratch.take();
+    pad_stride(dc_w, 3, 4, &mut dc_p);
+    let ctx = MvCtx { fd, s: FixedW::<4> };
+    let (fp, completion) = espresso_chunks(ctx, &on_p, &dc_p, opts, budget, scratch);
+    let mut f = scratch.take();
+    unpad_stride(&fp, 4, 3, &mut f);
+    scratch.give(fp);
+    scratch.give(dc_p);
+    scratch.give(on_p);
+    (f, completion)
 }
 
 /// Re-strides `src` (cubes of `from` words) into `out` at `to` words per
 /// cube, zero-filling the new trailing words.
-fn pad_stride(src: &[u64], from: usize, to: usize, out: &mut AlignedWords) {
+fn pad_stride(src: &[u64], from: usize, to: usize, out: &mut Vec<u64>) {
     debug_assert!(out.is_empty() && from <= to);
     let cubes = src.len() / from;
     out.resize(cubes * to, 0);
@@ -2185,7 +2159,7 @@ fn pad_stride(src: &[u64], from: usize, to: usize, out: &mut AlignedWords) {
 
 /// Inverse of [`pad_stride`]: drops each cube's trailing padding words
 /// (which the engine provably kept zero).
-fn unpad_stride(src: &[u64], from: usize, to: usize, out: &mut AlignedWords) {
+fn unpad_stride(src: &[u64], from: usize, to: usize, out: &mut Vec<u64>) {
     debug_assert!(out.is_empty() && to <= from);
     for c in src.chunks_exact(from) {
         debug_assert!(c[to..].iter().all(|&x| x == 0), "padding word disturbed");
@@ -2195,18 +2169,9 @@ fn unpad_stride(src: &[u64], from: usize, to: usize, out: &mut AlignedWords) {
 
 /// Routes a word-form minimization to the right engine rung: the inline
 /// single-word binary engine where it applies, otherwise the generic engine
-/// monomorphized for 1/2/4-word strides with a dynamic-stride fallback.
-/// Total — every domain is handled; nothing routes back to the legacy
-/// driver (the [`obs::Counter::LegacyFallback`] tripwire stays at zero).
-///
-/// Multi-word rungs (stride ≥ 2) additionally dispatch on the selected
-/// [`KernelBackend`]; the single-word rungs are pure register code with
-/// nothing to vectorize and always run the scalar kernels. Each dispatched
-/// run bumps [`obs::Counter::KernelDispatches`] plus exactly one of
-/// [`obs::Counter::KernelWideCalls`] / [`obs::Counter::KernelScalarCalls`]
-/// — the conservation the kernel counter tests pin down. Backend choice is
-/// invisible to results: covers, counters, budget ticks, and traces are
-/// bit-identical (`tests/prop_simd_kernels.rs`).
+/// at its stride rung ([`run_stride`]). Total — every domain is handled;
+/// nothing routes back to the legacy driver (the
+/// [`obs::Counter::LegacyFallback`] tripwire stays at zero).
 fn run_words(
     dom: &Domain,
     on_w: &[u64],
@@ -2214,31 +2179,12 @@ fn run_words(
     opts: &MinimizeOptions,
     budget: &Budget,
     scratch: &mut MinimizeScratch,
-) -> (AlignedWords, Completion) {
+) -> (Vec<u64>, Completion) {
     if flat_eligible(dom) {
         return espresso_words(BinCtx::new(dom), on_w, dc_w, opts, budget, scratch);
     }
     let fd = scratch.take_layout(dom);
-    let out = if fd.words() == 1 {
-        let ctx = MvCtx { fd: &fd, s: FixedW::<1>, k: ScalarKern };
-        espresso_chunks(ctx, on_w, dc_w, opts, budget, scratch)
-    } else {
-        // `count_scoped`, not `count`: the dispatch happens before the
-        // engine opens its "espresso" span, so with no caller-entered span
-        // the bump must fall back to the budget-attached recorder.
-        let rec = budget.recorder();
-        obs::count_scoped(rec, obs::Counter::KernelDispatches, 1);
-        match simd::selected_backend() {
-            KernelBackend::Wide => {
-                obs::count_scoped(rec, obs::Counter::KernelWideCalls, 1);
-                run_stride_wide(&fd, on_w, dc_w, opts, budget, scratch)
-            }
-            KernelBackend::Scalar => {
-                obs::count_scoped(rec, obs::Counter::KernelScalarCalls, 1);
-                run_stride(&fd, ScalarKern, on_w, dc_w, opts, budget, scratch)
-            }
-        }
-    };
+    let out = run_stride(&fd, on_w, dc_w, opts, budget, scratch);
     scratch.put_layout(dom, fd);
     out
 }
@@ -2268,7 +2214,7 @@ pub(crate) fn flat_minimized_len(on: &Cover, dc: &Cover, scratch: &mut MinimizeS
 }
 
 /// Copies a cover's cubes into a flat word buffer of the domain's stride.
-pub(crate) fn cover_to_words(cover: &Cover, out: &mut AlignedWords) {
+pub(crate) fn cover_to_words(cover: &Cover, out: &mut Vec<u64>) {
     debug_assert!(out.is_empty());
     for c in cover.iter() {
         out.extend_from_slice(c.words());
@@ -2392,7 +2338,7 @@ mod tests {
     /// The popcount meet test and EXPAND's blocking literals against the
     /// per-variable span walk: two-part variables inside a word, two-part
     /// variables straddling a word boundary (parts 63–64 and 127–128), and
-    /// the three-word layout the Wide backend pads to four words.
+    /// the three-word layout the padded rung lifts to four words.
     #[test]
     fn popcount_meet_test_matches_the_per_variable_walk() {
         use crate::domain::DomainBuilder;
@@ -2493,7 +2439,7 @@ mod tests {
                     } else {
                         want.sort_by_key(|c| chunk_parts(c));
                     }
-                    let mut v: AlignedWords = chunks.concat().as_slice().into();
+                    let mut v = chunks.concat();
                     sort_chunks_by_parts(&mut v, w, desc, &mut scratch);
                     assert_eq!(
                         v.as_slice(),

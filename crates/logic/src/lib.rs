@@ -38,10 +38,9 @@
 //! - [`flat`]: allocation-free flat cover kernels and the flat ESPRESSO
 //!   engine ([`flat_espresso_bounded`]) covering every domain via a
 //!   1/2/4-word specialization ladder over the cube stride.
-//! - [`simd`]: the runtime-dispatched kernel backend beneath the flat
-//!   engine — AVX2 / portable-wide / scalar word kernels selected by
-//!   [`KernelBackend`] at run time (`PICOLA_SIMD`), bit-identical across
-//!   backends, plus the 64-byte-aligned [`AlignedWords`] buffers.
+//! - [`simd`]: the lane-unrolled word kernels beneath the flat engine, the
+//!   [`WordSet`] bitset and refine's masked greedy — one definition per
+//!   word operation, written for the auto-vectorizer.
 //! - [`cache`]: the minimization memo ([`GlobalMinimizeCache`]), the
 //!   per-caller [`MinimizeCache`] view over it, and the [`CoverEngine`]
 //!   selector.
@@ -116,9 +115,6 @@ pub use primes::{all_primes, all_primes_bounded};
 pub use reduce::reduce;
 pub use sat::{Cnf, FaceCnf, FaceProblem, Lit, SatOutcome, SatParseError, SatStats, Solver};
 pub use sharp::{cover_sharp, cube_sharp};
-pub use simd::{
-    avx2_active, selected_backend, set_backend_override, AlignedWords, KernelBackend,
-};
 pub use urp::{complement, cube_complement, tautology};
 pub use verify::{
     find_point_in_difference, first_point_of, verify_equivalent, verify_implements, Point,

@@ -121,17 +121,15 @@ pub enum Counter {
     /// [`crate::CoverEngine::Legacy`] (differential oracle runs, A/B bench
     /// legs) is not a fallback and must not bump it either.
     LegacyFallback,
-    /// Multi-word flat-engine minimizations routed through the kernel
-    /// backend dispatcher (`picola_logic::simd`). Bumped once per
-    /// dispatched run; single-word rungs and the binary fast path are
-    /// pinned scalar and never dispatch. Always equals
-    /// [`Counter::KernelWideCalls`] + [`Counter::KernelScalarCalls`] —
-    /// the conservation rule the kernel suite enforces.
+    /// Flat-engine runs dispatched to a kernel backend. The engine has one
+    /// kernel set ([`crate::simd`]) and dispatches nothing, so nothing
+    /// bumps this counter; it stays only because the benchmark's
+    /// `logic.simd.dispatches` metric reads it.
     KernelDispatches,
-    /// Dispatched runs resolved to the wide (AVX2 or portable) backend.
+    /// Dispatched runs resolved to a wide kernel backend. Like
+    /// [`Counter::KernelDispatches`], never bumped; it stays only because
+    /// the benchmark's `logic.simd.wide_ratio` metric reads it.
     KernelWideCalls,
-    /// Dispatched runs resolved to the scalar backend.
-    KernelScalarCalls,
     /// Branching decisions made by the CDCL SAT core
     /// ([`crate::sat::Solver`]). Together with [`Counter::SatConflicts`]
     /// this equals the work the solver charges to its budget at the
@@ -172,23 +170,10 @@ impl Counter {
         Counter::LegacyFallback,
         Counter::KernelDispatches,
         Counter::KernelWideCalls,
-        Counter::KernelScalarCalls,
         Counter::SatDecisions,
         Counter::SatPropagations,
         Counter::SatConflicts,
     ];
-
-    /// `true` for counters whose totals depend on which kernel backend a
-    /// run resolved to. These are excluded from span snapshots (and hence
-    /// from [`Trace::render`] / [`Trace::to_json`] and golden traces) so
-    /// traces stay byte-identical across `PICOLA_SIMD=scalar|wide`; read
-    /// them through [`Trace::counter_total`], which bypasses snapshots.
-    pub fn backend_scoped(self) -> bool {
-        matches!(
-            self,
-            Counter::KernelDispatches | Counter::KernelWideCalls | Counter::KernelScalarCalls
-        )
-    }
 
     /// The stable snake_case name used in renders and JSON.
     pub fn name(self) -> &'static str {
@@ -218,7 +203,6 @@ impl Counter {
             Counter::LegacyFallback => "legacy_fallback",
             Counter::KernelDispatches => "kernel_dispatches",
             Counter::KernelWideCalls => "kernel_wide_calls",
-            Counter::KernelScalarCalls => "kernel_scalar_calls",
             Counter::SatDecisions => "sat_decisions",
             Counter::SatPropagations => "sat_propagations",
             Counter::SatConflicts => "sat_conflicts",
@@ -433,7 +417,6 @@ mod imp {
                 .collect();
             let counters = Counter::ALL
                 .iter()
-                .filter(|c| !c.backend_scoped())
                 .filter_map(|&c| {
                     let v = self.counters[c as usize].load(Ordering::Relaxed);
                     (v != 0).then(|| (c.name(), v))
@@ -453,10 +436,7 @@ mod imp {
         }
 
         /// Total of one counter over this cell and every descendant, read
-        /// straight from the atomics. Unlike going through [`snapshot`],
-        /// this also sees backend-scoped counters, which snapshots omit.
-        ///
-        /// [`snapshot`]: SpanCell::snapshot
+        /// straight from the atomics.
         fn counter_total(&self, counter: Counter) -> u64 {
             let own = self.counters[counter as usize].load(Ordering::Relaxed);
             let kids: u64 = match self.children.lock() {
@@ -546,9 +526,8 @@ mod imp {
             self.snapshot().total_work()
         }
 
-        /// Total of one counter across every span. Reads the span cells
-        /// directly, so — unlike [`Trace::snapshot`] — it also observes
-        /// backend-scoped counters ([`Counter::backend_scoped`]).
+        /// Total of one counter across every span, read from the span
+        /// cells without building a snapshot.
         pub fn counter_total(&self, counter: Counter) -> u64 {
             self.root.counter_total(counter)
         }
@@ -877,29 +856,6 @@ mod tests {
              {\"name\":\"phase\",\"work\":{\"picola.refine\":5},\
              \"counters\":{\"refine_accepts\":1},\"children\":[]}]}"
         );
-    }
-
-    #[test]
-    fn backend_scoped_counters_bypass_snapshots() {
-        let trace = Trace::new();
-        {
-            let span = trace.recorder().span("minimize");
-            span.recorder().add(Counter::KernelDispatches, 3);
-            span.recorder().add(Counter::KernelWideCalls, 2);
-            span.recorder().add(Counter::KernelScalarCalls, 1);
-            span.recorder().add(Counter::MinimizeCalls, 3);
-        }
-        // Totals are visible through the cell-walking reader …
-        assert_eq!(trace.counter_total(Counter::KernelDispatches), 3);
-        assert_eq!(trace.counter_total(Counter::KernelWideCalls), 2);
-        assert_eq!(trace.counter_total(Counter::KernelScalarCalls), 1);
-        // … but never leak into snapshots, renders, or JSON, which must
-        // stay byte-identical across kernel backends.
-        let render = trace.render();
-        assert!(!render.contains("kernel_"));
-        assert!(render.contains("minimize_calls=3"));
-        assert!(!trace.to_json().contains("kernel_"));
-        assert_eq!(trace.snapshot().counter_total(Counter::KernelDispatches), 0);
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! 1. the generic word-parallel kernels (`cube_*_into`, `cube_distance`)
 //!    against the legacy [`Cube`] operations, on mixed binary/multi-valued
 //!    and multi-word domains, including binary variables that straddle a
-//!    word boundary and a three-word domain;
+//!    word boundary, a three-word domain, and four- and eight-word domains
+//!    whose cubes fill whole 4-lane blocks. `cube_contains`,
+//!    `cube_and_into` and the cofactor body are the lane-unrolled kernels
+//!    the engine itself runs;
 //! 2. [`flat_espresso_bounded`] against [`espresso_bounded`] — bit-identical
 //!    covers, completions, and byte-identical traces, on unlimited and
 //!    tightly bounded budgets alike. The corpus spans every
 //!    rung of the flat engine's specialization ladder: the single-word
 //!    binary fast path plus multi-valued domains at 1-, 2-, 3- (padded to
-//!    4 by the Wide backend), 4-, and 8-word strides (mixed part counts up
+//!    4), 4-, and 8-word strides (mixed part counts up
 //!    to 70 parts per variable), so the legacy engine's only remaining
 //!    role — independent oracle — is exercised on exactly the domains the
 //!    flat engine now owns;
@@ -111,7 +114,7 @@ fn straddle_domain() -> Domain {
         .build()
 }
 
-/// A three-word domain (131 parts), which the Wide backend pads to its
+/// A three-word domain (131 parts), which the engine pads onto its
 /// four-word rung, with a word-straddling binary variable (parts 63–64)
 /// next to an in-word one.
 fn three_word_mv_domain() -> Domain {
@@ -229,6 +232,13 @@ fn mv_engine_corpus(
         };
         (build(on_picks), build(dc_picks))
     })
+}
+
+/// Strategy: a work limit in `0..12` for half the cases, no limit for the
+/// other half, so the wide rungs see budget-degraded prefixes as well as
+/// complete runs.
+fn work_limit() -> impl Strategy<Value = Option<u64>> {
+    (0u64..24).prop_map(|l| (l < 12).then_some(l))
 }
 
 /// Whether any minterm lies in both covers. Like the legacy espresso
@@ -356,12 +366,18 @@ proptest! {
             let dom = mv_domain();
             (mv_cube(&dom), mv_cube(&dom))
         },
-        picks_a in proptest::collection::vec(0u8..3, 192),
-        picks_b in proptest::collection::vec(0u8..3, 192),
+        picks_a in proptest::collection::vec(0u8..3, 512),
+        picks_b in proptest::collection::vec(0u8..3, 512),
     ) {
         assert_kernels_mirror(&mv_domain(), &a, &b)?;
-        // binary variables across a word boundary, and the padded stride
-        for dom in [straddle_domain(), three_word_mv_domain()] {
+        // binary variables across a word boundary, the padded stride, and
+        // cubes that fill one and two 4-lane kernel blocks
+        for dom in [
+            straddle_domain(),
+            three_word_mv_domain(),
+            four_word_mv_domain(),
+            eight_word_mv_domain(),
+        ] {
             let (a, b) = (cube_from_picks(&dom, &picks_a), cube_from_picks(&dom, &picks_b));
             assert_kernels_mirror(&dom, &a, &b)?;
         }
@@ -430,24 +446,27 @@ proptest! {
     #[test]
     fn flat_mv_engine_matches_legacy_three_word(
         (on, dc) in mv_engine_corpus(three_word_mv_domain(), 4, 2),
+        limit in work_limit(),
     ) {
         prop_assert_eq!(on.domain().words(), 3);
-        assert_engines_agree(&on, &dc, None)?;
+        assert_engines_agree(&on, &dc, limit)?;
     }
 
     #[test]
     fn flat_mv_engine_matches_legacy_four_word(
         (on, dc) in mv_engine_corpus(four_word_mv_domain(), 4, 2),
+        limit in work_limit(),
     ) {
         prop_assert_eq!(on.domain().words(), 4);
-        assert_engines_agree(&on, &dc, None)?;
+        assert_engines_agree(&on, &dc, limit)?;
     }
 
     #[test]
     fn flat_mv_engine_matches_legacy_eight_word(
         (on, dc) in mv_engine_corpus(eight_word_mv_domain(), 3, 1),
+        limit in work_limit(),
     ) {
         prop_assert_eq!(on.domain().words(), 8);
-        assert_engines_agree(&on, &dc, None)?;
+        assert_engines_agree(&on, &dc, limit)?;
     }
 }

@@ -33,7 +33,9 @@ heuristic reporting a cost below it; the totals must show zero mismatches
 and `proved == checked`.
 
 When the report carries `kernel_ab` blocks and a `totals.kernel` block
-(schema v8+), the Wide and Scalar kernel-backend legs must be bit-identical
+(schemas v8-v9; v10 dropped the leg together with the kernel backends, and
+the check skips reports without it), the Wide and Scalar kernel-backend
+legs must be bit-identical
 (`matches` per instance, `mismatches == 0` in totals) and the aggregate
 `speedup_per_work` must be at least 1.0 — the wide backend may never be
 slower per unit work than the scalar baseline. The speedup gate only

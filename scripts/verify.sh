@@ -76,10 +76,11 @@ if command -v python3 >/dev/null 2>&1; then
     # per-encoder total gaps must not grow vs the pr7 report.
     python3 scripts/check_bench_metrics.py BENCH_pr8.json \
         --baseline BENCH_pr7.json
-    # Schema v8 adds the kernel_ab leg (Wide vs Scalar kernel backends on
-    # the flat engine): both legs must be bit-identical and the aggregate
-    # wide wall-per-work must not regress below scalar; the deterministic
-    # work counters are additionally gated against the pr8 report (+20%).
+    # Schema v8 added the kernel_ab leg (Wide vs Scalar kernel backends on
+    # the flat engine; v10 dropped it with the backends): in the pr9 report
+    # both legs must be bit-identical and the aggregate wide wall-per-work
+    # must not regress below scalar; the deterministic work counters are
+    # additionally gated against the pr8 report (+20%).
     python3 scripts/check_bench_metrics.py BENCH_pr9.json \
         --baseline BENCH_pr8.json
     # Schema v9 adds the stream block (huge-tier streaming-store A/B):

@@ -63,6 +63,7 @@ use std::time::Duration;
 static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
+#[allow(unsafe_code)]
 mod sig {
     use super::SHUTDOWN_REQUESTED;
     use std::sync::atomic::Ordering;
