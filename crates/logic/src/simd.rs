@@ -14,10 +14,13 @@
 //! cube length is a compile-time constant and the loops unroll into
 //! straight-line code.
 //!
-//! Every kernel is a pure function of its word inputs. Loop structure,
-//! cube orderings, budget ticks and [`crate::obs`] counters stay in the
-//! engine, and the per-variable meet test (`FlatDomain`'s popcount test)
-//! is not a word kernel at all.
+//! The kernels sweep the common prefix of their operands: the shorter
+//! operand bounds the sweep, also when the lengths fall on different sides
+//! of a 4-lane block (equality additionally requires equal lengths). Each
+//! is a pure function of its word inputs. Loop structure, cube orderings,
+//! budget ticks and [`crate::obs`] counters stay in the engine, and the
+//! per-variable meet test (`FlatDomain`'s popcount test) is not a word
+//! kernel at all.
 
 // ---------------------------------------------------------------------------
 // Whole-cube kernels (the flat engine)
@@ -26,6 +29,8 @@
 /// Whether cube `a` contains (covers) cube `b`: `b & !a == 0` per word.
 #[inline]
 pub(crate) fn covers(a: &[u64], b: &[u64]) -> bool {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
     let mut ca = a.chunks_exact(4);
     let mut cb = b.chunks_exact(4);
     let mut acc = 0u64;
@@ -80,7 +85,7 @@ pub(crate) fn fold_or(c: &[u64]) -> u64 {
 /// `out = a & b` per word (the cube meet).
 #[inline]
 pub(crate) fn and_into(out: &mut [u64], a: &[u64], b: &[u64]) {
-    let n = out.len();
+    let n = out.len().min(a.len()).min(b.len());
     let blocks = n / 4 * 4;
     let mut i = 0;
     while i < blocks {
@@ -99,7 +104,7 @@ pub(crate) fn and_into(out: &mut [u64], a: &[u64], b: &[u64]) {
 /// The general cofactor body: `out = (x | !p) & full` per word.
 #[inline]
 pub(crate) fn cofactor_into(out: &mut [u64], x: &[u64], p: &[u64], full: &[u64]) {
-    let n = out.len();
+    let n = out.len().min(x.len()).min(p.len()).min(full.len());
     let blocks = n / 4 * 4;
     let mut i = 0;
     while i < blocks {
@@ -119,7 +124,7 @@ pub(crate) fn cofactor_into(out: &mut [u64], x: &[u64], p: &[u64], full: &[u64])
 // Slice helpers (WordSet word loops, refine mask checks, cube OR)
 // ---------------------------------------------------------------------------
 
-/// `dst |= src` per word (the shorter operand bounds the sweep).
+/// `dst |= src` per word.
 #[inline]
 pub(crate) fn union_into(dst: &mut [u64], src: &[u64]) {
     let n = dst.len().min(src.len());
@@ -138,7 +143,7 @@ pub(crate) fn union_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst &= src` per word (the shorter operand bounds the sweep).
+/// `dst &= src` per word.
 #[inline]
 pub(crate) fn intersect_into(dst: &mut [u64], src: &[u64]) {
     let n = dst.len().min(src.len());
@@ -157,7 +162,7 @@ pub(crate) fn intersect_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst &= !src` per word (the shorter operand bounds the sweep).
+/// `dst &= !src` per word.
 #[inline]
 pub(crate) fn difference_into(dst: &mut [u64], src: &[u64]) {
     let n = dst.len().min(src.len());
@@ -176,10 +181,12 @@ pub(crate) fn difference_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Whether `a & b == 0` everywhere (the shorter operand bounds the sweep).
-/// Public for refine's masked greedy in `picola-core`.
+/// Whether `a & b == 0` in every word. Public for refine's masked greedy
+/// in `picola-core`.
 #[inline]
 pub fn disjoint(a: &[u64], b: &[u64]) -> bool {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
     let mut ca = a.chunks_exact(4);
     let mut cb = b.chunks_exact(4);
     let mut acc = 0u64;
@@ -496,6 +503,45 @@ mod tests {
         }
     }
 
+    /// Operands of unequal length: each kernel sweeps the common prefix,
+    /// including lengths on different sides of a 4-lane block.
+    #[test]
+    fn kernels_sweep_the_common_prefix() {
+        let mut rng = Rng(11);
+        for (la, lb) in [(3usize, 5usize), (5, 3), (4, 7), (8, 5)] {
+            let a = rng.words(la);
+            let b = rng.words(lb);
+            let n = la.min(lb);
+            // `a` covers `inside` on the common prefix
+            let mut inside = b.clone();
+            for (y, &x) in inside.iter_mut().zip(&a) {
+                *y &= x;
+            }
+            assert!(covers(&a, &inside));
+            assert_eq!(covers(&a, &b), a.iter().zip(&b).all(|(&x, &y)| y & !x == 0));
+            // `apart` meets `b` nowhere on the common prefix
+            let mut apart = a.clone();
+            for (x, &y) in apart.iter_mut().zip(&b) {
+                *x &= !y;
+            }
+            assert!(disjoint(&apart, &b));
+            assert_eq!(
+                disjoint(&a, &b),
+                a.iter().zip(&b).all(|(&x, &y)| x & y == 0)
+            );
+            let mut out = vec![0u64; la.max(lb)];
+            and_into(&mut out, &a, &b);
+            for k in 0..out.len() {
+                assert_eq!(out[k], if k < n { a[k] & b[k] } else { 0 });
+            }
+            out.fill(0);
+            cofactor_into(&mut out, &a, &b, &b);
+            for k in 0..out.len() {
+                assert_eq!(out[k], if k < n { (a[k] | !b[k]) & b[k] } else { 0 });
+            }
+        }
+    }
+
     /// All three mask kernels walk the same merge decisions; cross-check
     /// the register forms against the slice form on a shared script.
     #[test]
@@ -530,6 +576,29 @@ mod tests {
         let mut trial2 = Vec::new();
         let mn2 = run(&mut MaskN::new(&mut cur2, &mut trial2, 2), &forbidden2, 7);
         assert_eq!(m2, mn2);
+        // nv = 8 → a 4-word MaskN against enumerating the cube's codes: a
+        // cube is its seed with some bits free, and a trial is legal when
+        // no forbidden code agrees with the seed on every fixed bit
+        let forbidden4: Vec<u64> = vec![0x8000_0000_0000_0001, 0, 0xff, 1 << 63];
+        let mut cur4 = Vec::new();
+        let mut trial4 = Vec::new();
+        let mn4 = run(&mut MaskN::new(&mut cur4, &mut trial4, 4), &forbidden4, 8);
+        let mut expect = Vec::new();
+        for seed in [0u32, 3, 255] {
+            let mut free = 0u32;
+            for step in 0..8 {
+                let grown = free | 1 << step;
+                let ok = (0..256u32).all(|c| {
+                    (c ^ seed) & !grown != 0 || forbidden4[c as usize / 64] >> (c % 64) & 1 == 0
+                });
+                expect.push(ok);
+                if ok {
+                    free = grown;
+                }
+            }
+        }
+        assert_eq!(mn4, expect);
+        assert!(expect.contains(&true) && expect.contains(&false));
     }
 
     #[test]
