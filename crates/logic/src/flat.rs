@@ -1,54 +1,48 @@
-//! Flat, allocation-free cover kernels.
+//! Flat cover kernels and the flat ESPRESSO engine.
 //!
 //! The legacy pipeline represents a cover as `Vec<Cube>` with every cube
 //! owning its own `Vec<u64>`; each ESPRESSO pass then clones, sorts, and
 //! rebuilds those vectors, so steady-state minimization is dominated by
 //! allocator traffic. This module provides a flat alternative:
 //!
-//! * [`FlatCover`] — one contiguous `Vec<u64>` with a fixed word stride per
-//!   cube, plus word-parallel kernels ([`cube_and_into`], [`cube_contains`],
-//!   [`cube_distance`], [`cube_consensus_into`], [`cube_cofactor_into`])
-//!   that write into caller-owned scratch. These work for any domain.
-//! * A flat ESPRESSO engine covering **every** domain, as a ladder of
-//!   specializations over the cube's fixed word stride:
-//!   - an inline single-word fast path for the common all-binary case
-//!     (`2 · num_vars ≤ 64`): each cube is one `u64` and every kernel is a
-//!     handful of bit tricks;
-//!   - a generic multi-word engine for everything else (multi-valued
-//!     variables, > 64 total parts), where each cube is a `&[u64]` chunk of
-//!     stride `words()`. The stride is threaded through a zero-sized
-//!     `Stride` type parameter, so the 1/2/4-word instantiations compile
-//!     to register-blocked straight-line kernels, three-word domains are
-//!     padded onto the 4-word rung, and only wider domains pay a counted
-//!     loop. Its whole-cube word operations (containment, OR, AND, the
-//!     cofactor body) are the lane-unrolled loops of [`crate::simd`], the
-//!     same functions the public `cube_*` kernels above call.
+//! * Word-parallel cube kernels over a [`FlatDomain`] layout
+//!   ([`cube_and_into`], [`cube_contains`], [`cube_distance`],
+//!   [`cube_consensus_into`], [`cube_cofactor_into`]) that write into
+//!   caller-owned scratch. Each is the body the engine itself runs.
+//! * One flat ESPRESSO driver for **every** domain. A cube is a `&[u64]`
+//!   chunk of stride `words()`, and the stride is threaded through a
+//!   zero-sized `Stride` type parameter: the 1/2/4-word instantiations
+//!   compile to register-blocked straight-line kernels, three-word domains
+//!   are padded onto the 4-word rung, and only wider domains pay a counted
+//!   loop. A one-word domain takes the 1-word rung whether its variables
+//!   are binary or multi-valued. The whole-cube word operations
+//!   (containment, OR, AND, the cofactor body) are the lane-unrolled loops
+//!   of [`crate::simd`].
 //!
-//!   Both run the full ESPRESSO loop (expand / reduce / irredundant /
+//!   The driver runs the full ESPRESSO loop (expand / reduce / irredundant /
 //!   essentials / last-gasp, with the unate-recursive tautology and
 //!   complement underneath) over plain word slices drawn from a
-//!   [`MinimizeScratch`] pool; after warm-up the steady state performs no
-//!   per-cube heap allocation.
+//!   [`MinimizeScratch`] pool; after warm-up it performs no per-cube heap
+//!   allocation.
 //!
-//! The multi-word engine has one meet test: [`FlatDomain`] keeps a per-word
-//! mask of the two-part variables whose parts share a word, so a single
-//! popcount per word of `a ∧ b` counts their empty literals, and only the
-//! remaining variables walk their spans. Cofactoring, essentials and
-//! [`cube_distance`] all use it. Its EXPAND never sweeps the off-set per
-//! candidate part: it keeps, per off-set cube, the number of variables that
-//! block the growing cube, plus the mask of parts whose raise would unblock
-//! some cube, and updates both on each accepted raise. Its cube sorts are
-//! stable counting sorts on part count.
+//! The engine has one meet test: [`FlatDomain`] keeps a per-word mask of
+//! the two-part variables whose parts share a word, so a single popcount
+//! per word of `a ∧ b` counts their empty literals, and only the remaining
+//! variables walk their spans. On an all-binary one-word domain every
+//! variable is such a pair, so nothing walks. Cofactoring, consensus,
+//! essentials and [`cube_distance`] all use it. EXPAND never sweeps the
+//! off-set per candidate part: it keeps, per off-set cube, the number of
+//! variables that block the growing cube, plus the mask of parts whose
+//! raise would unblock some cube, and updates both on each accepted raise.
+//! The cube sorts are stable counting sorts on part count.
 //!
-//! Every engine rung is an exact mirror of the legacy `Vec<Cube>` code:
-//! same cube orderings (stable sorts on the same keys), same branch
-//! variables, same budget ticks and [`crate::obs`] counters.
-//! [`flat_espresso_bounded`] is therefore bit-identical to
-//! [`crate::espresso_bounded`] on *all* domains — the differential property
-//! tests in `tests/prop_flat_cover.rs` enforce exactly that. There is no
-//! silent fallback: the legacy driver survives only as the independent
-//! oracle those suites compare against ([`obs::Counter::LegacyFallback`] is
-//! the tripwire proving nothing re-routes to it).
+//! The driver mirrors the legacy `Vec<Cube>` code pass for pass: same cube
+//! orderings (stable sorts on the same keys), same branch variables, same
+//! budget ticks and [`crate::obs`] counters. [`flat_espresso_bounded`] is
+//! therefore bit-identical to [`crate::espresso_bounded`] on *all* domains —
+//! the differential property tests in `tests/prop_flat_cover.rs` enforce
+//! exactly that. The legacy driver survives only as the independent oracle
+//! those suites compare against; no release path calls it.
 
 use crate::budget::{Budget, Completion};
 use crate::cover::Cover;
@@ -59,7 +53,7 @@ use crate::obs;
 use crate::simd;
 
 // ---------------------------------------------------------------------------
-// Generic flat layer: FlatDomain, FlatCover, word-parallel kernels
+// Flat layer: FlatDomain and the word-parallel kernels
 // ---------------------------------------------------------------------------
 
 /// Precomputed per-variable word/mask layout of a [`Domain`], flattened so
@@ -207,23 +201,57 @@ impl FlatDomain {
                 .count()
     }
 
-    /// ORs into `out` the literal of `o` on every variable whose literal is
-    /// empty in the meet `a ∧ o` — EXPAND calls it once `o` is blocked by a
-    /// single variable, whose parts then become illegal raises.
-    fn or_blocking_literals(&self, a: &[u64], o: &[u64], out: &mut [u64], w: usize) {
-        let (a, o) = (&a[..w], &o[..w]);
-        for (k, (d, (&x, &y))) in out[..w].iter_mut().zip(a.iter().zip(o)).enumerate() {
+    /// ORs `lit(a, b)`, word by word, into `out` on the parts of every
+    /// variable whose literal is empty in the meet `a ∧ b` (the first `w`
+    /// words of each). EXPAND passes `b`'s literal once the off-set cube `b`
+    /// is blocked by a single variable, whose parts then become illegal
+    /// raises; consensus passes `a ∨ b` on its one conflicting variable.
+    fn or_on_empty_vars(
+        &self,
+        a: &[u64],
+        b: &[u64],
+        out: &mut [u64],
+        w: usize,
+        lit: impl Fn(u64, u64) -> u64,
+    ) {
+        let (a, b) = (&a[..w], &b[..w]);
+        for (k, (d, (&x, &y))) in out[..w].iter_mut().zip(a.iter().zip(b)).enumerate() {
             let e = self.empty_pairs(k, x & y);
-            *d |= y & (e | e << 1);
+            *d |= lit(x, y) & (e | e << 1);
         }
         for &v in &self.walk_vars {
-            if self.meet_var_empty(a, o, v) {
+            if self.meet_var_empty(a, b, v) {
                 let (first, start, span) = self.var_spans[v];
                 for k in 0..span {
-                    out[first + k] |= o[first + k] & self.masks[start + k];
+                    out[first + k] |= lit(a[first + k], b[first + k]) & self.masks[start + k];
                 }
             }
         }
+    }
+
+    /// The cofactor of `a` with respect to `p` into `out` (the first `w`
+    /// words of each), or `false`, leaving `out` unspecified, when `a` and
+    /// `p` do not intersect. The one cofactor body: [`cube_cofactor_into`]
+    /// and the engine's cofactor step both run it.
+    #[inline(always)]
+    fn cofactor_into(&self, a: &[u64], p: &[u64], out: &mut [u64], w: usize) -> bool {
+        if self.meet_empty_count(a, p, w) != 0 {
+            return false;
+        }
+        simd::cofactor_into(&mut out[..w], &a[..w], &p[..w], &self.full[..w]);
+        true
+    }
+
+    /// The consensus of `a` and `b` into `out` (the first `w` words of
+    /// each): the meet everywhere, the union on the one variable whose
+    /// meet is empty. The caller has found the distance
+    /// ([`FlatDomain::meet_empty_count`]) to be exactly 1. The one
+    /// consensus body: [`cube_consensus_into`] and the engine's essentials
+    /// both run it.
+    #[inline(always)]
+    fn consensus_into(&self, a: &[u64], b: &[u64], out: &mut [u64], w: usize) {
+        simd::and_into(&mut out[..w], &a[..w], &b[..w]);
+        self.or_on_empty_vars(a, b, out, w, |x, y| x | y);
     }
 
     /// Number of parts of variable `v` in the meet of `a` and `b`.
@@ -283,116 +311,17 @@ pub fn cube_distance(fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
 /// Consensus of `a` and `b` into `out`. Returns `false` (leaving `out`
 /// unspecified) when the distance is not exactly 1.
 pub fn cube_consensus_into(fd: &FlatDomain, a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
-    let mut conflict = None;
-    for v in 0..fd.num_vars {
-        if fd.meet_var_empty(a, b, v) {
-            if conflict.is_some() {
-                return false;
-            }
-            conflict = Some(v);
-        }
-    }
-    let Some(v) = conflict else {
+    if fd.meet_empty_count(a, b, fd.words) != 1 {
         return false;
-    };
-    cube_and_into(a, b, out);
-    let (first, start, span) = fd.var_spans[v];
-    for k in 0..span {
-        out[first + k] |= (a[first + k] | b[first + k]) & fd.masks[start + k];
     }
+    fd.consensus_into(a, b, out, fd.words);
     true
 }
 
 /// Cofactor of `a` with respect to `p` into `out`. Returns `false` (leaving
 /// `out` unspecified) when `a` and `p` do not intersect.
 pub fn cube_cofactor_into(fd: &FlatDomain, a: &[u64], p: &[u64], out: &mut [u64]) -> bool {
-    for v in 0..fd.num_vars {
-        if fd.meet_var_empty(a, p, v) {
-            return false;
-        }
-    }
-    simd::cofactor_into(out, a, p, &fd.full);
-    true
-}
-
-/// A cover stored as one contiguous word buffer with a fixed stride per
-/// cube. Pushing reuses the tail of the single allocation; iteration yields
-/// word slices with no per-cube indirection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatCover {
-    stride: usize,
-    words: Vec<u64>,
-}
-
-impl FlatCover {
-    /// An empty flat cover with the given word stride (`stride ≥ 1`).
-    pub fn new(stride: usize) -> FlatCover {
-        FlatCover {
-            stride: stride.max(1),
-            words: Vec::new(),
-        }
-    }
-
-    /// Flattens an existing [`Cover`].
-    pub fn from_cover(cover: &Cover) -> FlatCover {
-        let stride = cover.domain().words();
-        let mut fc = FlatCover::new(stride);
-        for c in cover.iter() {
-            fc.words.extend_from_slice(c.words());
-        }
-        fc
-    }
-
-    /// Rebuilds a [`Cover`] over `dom` (which must have this stride).
-    /// Invalid cubes are dropped, mirroring [`Cover::from_cubes`].
-    pub fn to_cover(&self, dom: &Domain) -> Cover {
-        Cover::from_cubes(
-            dom,
-            self.iter().map(|w| Cube::from_raw_words(w.to_vec())),
-        )
-    }
-
-    /// Word stride per cube.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Number of cubes.
-    pub fn len(&self) -> usize {
-        self.words.len() / self.stride
-    }
-
-    /// Whether the cover has no cubes.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// The `i`-th cube as a word slice.
-    pub fn cube(&self, i: usize) -> &[u64] {
-        &self.words[i * self.stride..(i + 1) * self.stride]
-    }
-
-    /// Mutable view of the `i`-th cube.
-    pub fn cube_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.words[i * self.stride..(i + 1) * self.stride]
-    }
-
-    /// Appends a cube (a word slice of exactly `stride` words; bits above
-    /// the domain's total parts must be zero).
-    pub fn push(&mut self, cube: &[u64]) {
-        debug_assert_eq!(cube.len(), self.stride);
-        self.words.extend_from_slice(cube);
-    }
-
-    /// Removes all cubes, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.clear();
-    }
-
-    /// Iterates cubes as word slices.
-    pub fn iter(&self) -> impl Iterator<Item = &[u64]> {
-        self.words.chunks_exact(self.stride)
-    }
+    fd.cofactor_into(a, p, out, fd.words)
 }
 
 // ---------------------------------------------------------------------------
@@ -403,9 +332,14 @@ impl FlatCover {
 ///
 /// Holds a pool of word buffers plus the flag/order buffers the expand and
 /// irredundant passes need. After the first minimization warms the pool,
-/// subsequent calls perform no heap allocation. One scratch must not be
-/// shared across threads; every long-lived consumer (the evaluation cache,
-/// the ENC baseline) owns its own.
+/// later calls reuse its buffers: the engine allocates nothing per cube or
+/// per recursion node. A call still makes a few fixed allocations (the
+/// layout of a domain other than the last one, the padded rung's layout
+/// copy, the unlimited budget `flat_minimized_len` builds, the output
+/// [`Cover`] of [`flat_espresso_bounded`]), and a larger cover may grow a
+/// pooled buffer. One scratch must not be shared
+/// across threads; every long-lived consumer (the evaluation cache, the
+/// ENC baseline) owns its own.
 #[derive(Debug, Default)]
 pub struct MinimizeScratch {
     free: Vec<Vec<u64>>,
@@ -418,7 +352,10 @@ pub struct MinimizeScratch {
     /// The counting sort's per-chunk keys and bucket offsets.
     keys: Vec<usize>,
     buckets: Vec<usize>,
-    /// The last multi-word domain layout, cached so back-to-back
+    /// The complement's per-node lists of branch results, one popped per
+    /// recursion level and pushed back on return.
+    lists: Vec<Vec<Vec<u64>>>,
+    /// The last domain layout, cached so back-to-back
     /// minimizations over one domain (the common shape: a search loop
     /// re-pricing covers) rebuild nothing. Keyed by the `Domain` handle;
     /// the comparison is an `Arc` pointer check in the hot case.
@@ -464,722 +401,18 @@ impl MinimizeScratch {
 }
 
 // ---------------------------------------------------------------------------
-// Single-word binary engine
-// ---------------------------------------------------------------------------
-
-const EVENS: u64 = 0x5555_5555_5555_5555;
-
-/// Context for the single-word all-binary fast path: `nv` binary variables,
-/// variable `v` occupying bits `2v` (value 0) and `2v + 1` (value 1).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BinCtx {
-    nv: usize,
-    full: u64,
-    evens: u64,
-}
-
-impl BinCtx {
-    /// Builds the context for an eligible domain (see [`flat_eligible`]).
-    pub(crate) fn new(dom: &Domain) -> BinCtx {
-        debug_assert!(flat_eligible(dom));
-        let full = dom.full_words()[0];
-        BinCtx {
-            nv: dom.num_vars(),
-            full,
-            evens: EVENS & full,
-        }
-    }
-}
-
-/// Whether `dom` is handled by the single-word binary engine: at least one
-/// variable, every variable two-valued, and all parts within one word.
-pub fn flat_eligible(dom: &Domain) -> bool {
-    dom.num_vars() >= 1
-        && dom.words() == 1
-        && (0..dom.num_vars()).all(|v| dom.var(v).parts() == 2)
-}
-
-#[inline]
-fn valid_w(ctx: BinCtx, c: u64) -> bool {
-    (c | c >> 1) & ctx.evens == ctx.evens
-}
-
-#[inline]
-fn covers_w(a: u64, b: u64) -> bool {
-    b & !a == 0
-}
-
-#[inline]
-fn dist_w(ctx: BinCtx, a: u64, b: u64) -> u32 {
-    let m = a & b;
-    (ctx.evens & !(m | m >> 1)).count_ones()
-}
-
-/// Consensus at distance exactly 1 (checked by the caller via [`dist_w`]).
-#[inline]
-fn consensus_w(ctx: BinCtx, a: u64, b: u64) -> u64 {
-    let m = a & b;
-    let cm = ctx.evens & !(m | m >> 1);
-    debug_assert_eq!(cm.count_ones(), 1);
-    let vbit = cm.trailing_zeros();
-    m | ((a | b) & (3u64 << vbit))
-}
-
-/// The cube asserting part `p` (0 or 1) of variable `v` and nothing else:
-/// full everywhere except the opposite part of `v` is cleared.
-#[inline]
-fn part_cube_w(ctx: BinCtx, v: usize, p: usize) -> u64 {
-    ctx.full & !(1u64 << (2 * v + (1 - p)))
-}
-
-#[inline]
-fn cofactor_w(ctx: BinCtx, a: u64, p: u64) -> Option<u64> {
-    if !valid_w(ctx, a & p) {
-        return None;
-    }
-    Some((a | !p) & ctx.full)
-}
-
-#[inline]
-fn literal_cost_one_w(ctx: BinCtx, c: u64) -> usize {
-    ctx.nv - (c & (c >> 1) & ctx.evens).count_ones() as usize
-}
-
-fn cost_w(ctx: BinCtx, f: &[u64]) -> (usize, usize) {
-    (
-        f.len(),
-        f.iter().map(|&c| literal_cost_one_w(ctx, c)).sum(),
-    )
-}
-
-// --- stable sorts ---------------------------------------------------------
-//
-// `slice::sort_by_key` is stable but allocates for slices longer than 20.
-// These insertion sorts produce the identical permutation for the same key
-// (stable: an element only moves past strictly-"greater" predecessors) with
-// no allocation. Cover sizes in this pipeline are small enough that the
-// quadratic worst case never dominates the kernels themselves.
-
-fn insertion_sort_by(v: &mut [u64], mut before: impl FnMut(u64, u64) -> bool) {
-    for i in 1..v.len() {
-        let x = v[i];
-        let mut j = i;
-        while j > 0 && before(x, v[j - 1]) {
-            v[j] = v[j - 1];
-            j -= 1;
-        }
-        v[j] = x;
-    }
-}
-
-/// Descending part count (mirrors `sort_by_key(Reverse(part_count))`).
-fn sort_desc_parts(v: &mut [u64]) {
-    insertion_sort_by(v, |a, b| a.count_ones() > b.count_ones());
-}
-
-/// Ascending part count.
-fn sort_asc_parts(v: &mut [u64]) {
-    insertion_sort_by(v, |a, b| a.count_ones() < b.count_ones());
-}
-
-/// Expand's part order: descending weight, ties by ascending part index —
-/// a strict total order, so any sort gives the identical sequence.
-fn sort_expand_order(v: &mut [(usize, usize)]) {
-    for i in 1..v.len() {
-        let x = v[i];
-        let mut j = i;
-        while j > 0 && (x.1 > v[j - 1].1 || (x.1 == v[j - 1].1 && x.0 < v[j - 1].0)) {
-            v[j] = v[j - 1];
-            j -= 1;
-        }
-        v[j] = x;
-    }
-}
-
-// --- single-cube-containment / scc ---------------------------------------
-
-/// In-place single-cube containment, mirroring [`Cover::scc`]: stable sort
-/// by descending part count, then drop any cube covered by an earlier kept
-/// cube. For single-word cubes the fold-OR signature *is* the cube, so the
-/// legacy prefilter (`sig & !ksig != 0`) is exact and the subsequent
-/// `covers` check always succeeds when reached — the counters still mirror
-/// the legacy accounting.
-fn scc_w(cubes: &mut Vec<u64>) {
-    sort_desc_parts(cubes);
-    let mut pairs = 0u64;
-    let mut prefilter_rejects = 0u64;
-    let mut kept = 0usize;
-    'outer: for i in 0..cubes.len() {
-        let c = cubes[i];
-        for &k in &cubes[..kept] {
-            pairs += 1;
-            if c & !k != 0 {
-                prefilter_rejects += 1;
-                continue;
-            }
-            // signature == cube here, so the kept cube covers c
-            continue 'outer;
-        }
-        cubes[kept] = c;
-        kept += 1;
-    }
-    cubes.truncate(kept);
-    obs::count(obs::Counter::SccPairs, pairs);
-    obs::count(obs::Counter::SccPrefilterRejects, prefilter_rejects);
-}
-
-// --- unate-recursive paradigm: tautology and complement -------------------
-
-/// Most binate variable, mirroring the legacy selection: highest count of
-/// cubes with a non-full literal; on ties the legacy `parts < best_parts`
-/// tie-break never fires for all-binary domains, so first-wins on equal
-/// counts.
-fn most_binate_w(ctx: BinCtx, cubes: &[u64]) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None;
-    for v in 0..ctx.nv {
-        let mask = 3u64 << (2 * v);
-        let count = cubes.iter().filter(|&&c| c & mask != mask).count();
-        if count == 0 {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some((bc, _)) => count > bc,
-        };
-        if better {
-            best = Some((count, v));
-        }
-    }
-    best.map(|(_, v)| v)
-}
-
-fn taut_rec_w(ctx: BinCtx, cubes: &[u64], scratch: &mut MinimizeScratch) -> bool {
-    if cubes.contains(&ctx.full) {
-        return true;
-    }
-    if cubes.is_empty() {
-        return false;
-    }
-    let mut acc = 0u64;
-    let mut covers_all_parts = false;
-    for &c in cubes {
-        acc |= c;
-        if acc == ctx.full {
-            covers_all_parts = true;
-            break;
-        }
-    }
-    if !covers_all_parts {
-        return false;
-    }
-    let Some(v) = most_binate_w(ctx, cubes) else {
-        return false;
-    };
-    let mut branch = scratch.take();
-    let mut taut = true;
-    for p in 0..2 {
-        let pc = part_cube_w(ctx, v, p);
-        branch.clear();
-        for &c in cubes {
-            if let Some(cf) = cofactor_w(ctx, c, pc) {
-                branch.push(cf);
-            }
-        }
-        if !taut_rec_w(ctx, &branch, scratch) {
-            taut = false;
-            break;
-        }
-    }
-    scratch.give(branch);
-    taut
-}
-
-/// Complement of a single cube: one cube per non-full variable, in variable
-/// order (mirrors the legacy `cube_complement`; for binary domains the
-/// result cubes are always valid).
-fn cube_complement_w(ctx: BinCtx, c: u64, out: &mut Vec<u64>) {
-    for v in 0..ctx.nv {
-        let mask = 3u64 << (2 * v);
-        if c & mask == mask {
-            continue;
-        }
-        out.push(ctx.full & !(c & mask));
-    }
-}
-
-/// Recursive complement, mirroring the legacy `compl_rec`: branch on the
-/// most binate variable, lift cubes common to both branch complements, and
-/// finish with an scc pass (counters fire, as in the legacy
-/// `Cover::from_cubes` + `scc` epilogue).
-fn compl_rec_w(ctx: BinCtx, cubes: &[u64], out: &mut Vec<u64>, scratch: &mut MinimizeScratch) {
-    debug_assert!(out.is_empty());
-    if cubes.is_empty() {
-        out.push(ctx.full);
-        return;
-    }
-    if cubes.contains(&ctx.full) {
-        return;
-    }
-    if cubes.len() == 1 {
-        cube_complement_w(ctx, cubes[0], out);
-        return;
-    }
-    let Some(v) = most_binate_w(ctx, cubes) else {
-        return;
-    };
-    let mut branch = scratch.take();
-    let mut r0 = scratch.take();
-    let mut r1 = scratch.take();
-    for p in 0..2 {
-        let pc = part_cube_w(ctx, v, p);
-        branch.clear();
-        for &c in cubes {
-            if let Some(cf) = cofactor_w(ctx, c, pc) {
-                branch.push(cf);
-            }
-        }
-        let target = if p == 0 { &mut r0 } else { &mut r1 };
-        compl_rec_w(ctx, &branch, target, scratch);
-    }
-    scratch.give(branch);
-    let mut lifted = scratch.take();
-    for &c in r0.iter() {
-        if r1.contains(&c) {
-            lifted.push(c);
-        }
-    }
-    for (p, branch_out) in [(0usize, &r0), (1usize, &r1)] {
-        let pc = part_cube_w(ctx, v, p);
-        for &c in branch_out.iter() {
-            if lifted.contains(&c) {
-                continue;
-            }
-            let r = c & pc;
-            if valid_w(ctx, r) {
-                out.push(r);
-            }
-        }
-    }
-    out.extend_from_slice(&lifted);
-    scc_w(out);
-    scratch.give(lifted);
-    scratch.give(r1);
-    scratch.give(r0);
-}
-
-/// Whether the cover `f` covers the single cube `c` (tautology of the
-/// cofactor), mirroring the legacy `cover_covers_cube`.
-fn cover_covers_cube_w(ctx: BinCtx, f: &[u64], c: u64, scratch: &mut MinimizeScratch) -> bool {
-    let mut g = scratch.take();
-    for &x in f {
-        if let Some(cf) = cofactor_w(ctx, x, c) {
-            g.push(cf);
-        }
-    }
-    let taut = taut_rec_w(ctx, &g, scratch);
-    scratch.give(g);
-    taut
-}
-
-// --- espresso passes ------------------------------------------------------
-
-fn expand_w(ctx: BinCtx, f: &mut Vec<u64>, off: &[u64], scratch: &mut MinimizeScratch) {
-    sort_asc_parts(f);
-    let n = f.len();
-    let mut covered = std::mem::take(&mut scratch.flags);
-    covered.clear();
-    covered.resize(n, false);
-    let mut order = std::mem::take(&mut scratch.pairs);
-    let mut result = scratch.take();
-    for i in 0..n {
-        if covered[i] {
-            continue;
-        }
-        let mut c = f[i];
-        order.clear();
-        for p in 0..2 * ctx.nv {
-            if c >> p & 1 != 0 {
-                continue;
-            }
-            let bit = 1u64 << p;
-            let w = (0..n)
-                .filter(|&j| j != i && !covered[j] && f[j] & bit != 0)
-                .count();
-            order.push((p, w));
-        }
-        sort_expand_order(&mut order);
-        for &(p, _) in order.iter() {
-            let candidate = c | (1u64 << p);
-            if off.iter().all(|&o| !valid_w(ctx, candidate & o)) {
-                c = candidate;
-            }
-        }
-        for j in 0..n {
-            if j != i && !covered[j] && covers_w(c, f[j]) {
-                covered[j] = true;
-            }
-        }
-        result.push(c);
-    }
-    std::mem::swap(f, &mut result);
-    scratch.give(result);
-    scratch.pairs = order;
-    scratch.flags = covered;
-}
-
-fn reduce_w(ctx: BinCtx, f: &mut Vec<u64>, dc: &[u64], scratch: &mut MinimizeScratch) {
-    sort_desc_parts(f);
-    let mut rest = scratch.take();
-    let mut g = scratch.take();
-    let mut h = scratch.take();
-    for i in 0..f.len() {
-        let c = f[i];
-        if c == 0 {
-            // legacy: the complement of the (empty) cofactored rest is the
-            // universe with no scc pass, and the re-reduced cube stays
-            // invalid — counter-identical shortcut.
-            continue;
-        }
-        rest.clear();
-        for (j, &x) in f.iter().enumerate() {
-            if j != i && x != 0 {
-                rest.push(x);
-            }
-        }
-        rest.extend_from_slice(dc);
-        g.clear();
-        for &x in rest.iter() {
-            if let Some(cf) = cofactor_w(ctx, x, c) {
-                g.push(cf);
-            }
-        }
-        h.clear();
-        compl_rec_w(ctx, &g, &mut h, scratch);
-        if h.is_empty() {
-            f[i] = 0;
-        } else {
-            let sc = h.iter().fold(0u64, |acc, &x| acc | x);
-            let r = c & sc;
-            f[i] = if valid_w(ctx, r) { r } else { 0 };
-        }
-    }
-    f.retain(|&c| c != 0);
-    scratch.give(h);
-    scratch.give(g);
-    scratch.give(rest);
-}
-
-fn irredundant_w(ctx: BinCtx, f: &mut Vec<u64>, dc: &[u64], scratch: &mut MinimizeScratch) {
-    sort_desc_parts(f);
-    let n = f.len();
-    let mut keep = std::mem::take(&mut scratch.flags);
-    keep.clear();
-    keep.resize(n, true);
-    let mut rest = scratch.take();
-    for i in (0..n).rev() {
-        rest.clear();
-        for j in 0..n {
-            if j != i && keep[j] {
-                rest.push(f[j]);
-            }
-        }
-        rest.extend_from_slice(dc);
-        if cover_covers_cube_w(ctx, &rest, f[i], scratch) {
-            keep[i] = false;
-        }
-    }
-    let mut w = 0usize;
-    for i in 0..n {
-        if keep[i] {
-            f[w] = f[i];
-            w += 1;
-        }
-    }
-    f.truncate(w);
-    scratch.give(rest);
-    scratch.flags = keep;
-}
-
-fn essentials_w(
-    ctx: BinCtx,
-    f: &[u64],
-    dc: &[u64],
-    out: &mut Vec<u64>,
-    scratch: &mut MinimizeScratch,
-) {
-    let mut h = scratch.take();
-    let mut hc = scratch.take();
-    for i in 0..f.len() {
-        let c = f[i];
-        h.clear();
-        for (j, &g) in f.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            match dist_w(ctx, g, c) {
-                0 => h.push(g),
-                1 => h.push(consensus_w(ctx, g, c)),
-                _ => {}
-            }
-        }
-        for &g in dc {
-            match dist_w(ctx, g, c) {
-                0 => h.push(g),
-                1 => h.push(consensus_w(ctx, g, c)),
-                _ => {}
-            }
-        }
-        hc.clear();
-        for &x in h.iter() {
-            if let Some(cf) = cofactor_w(ctx, x, c) {
-                hc.push(cf);
-            }
-        }
-        if !taut_rec_w(ctx, &hc, scratch) {
-            out.push(c);
-        }
-    }
-    scratch.give(hc);
-    scratch.give(h);
-}
-
-/// Last-gasp pass; replaces `f` and returns `true` when it found a strictly
-/// cheaper cover (mirrors the legacy `last_gasp`).
-fn gasp_w(
-    ctx: BinCtx,
-    f: &mut Vec<u64>,
-    dc: &[u64],
-    off: &[u64],
-    scratch: &mut MinimizeScratch,
-) -> bool {
-    if f.len() < 2 {
-        return false;
-    }
-    let mut reduced = scratch.take();
-    let mut rest = scratch.take();
-    let mut g = scratch.take();
-    let mut h = scratch.take();
-    for i in 0..f.len() {
-        let c = f[i];
-        rest.clear();
-        for (j, &x) in f.iter().enumerate() {
-            if j != i {
-                rest.push(x);
-            }
-        }
-        rest.extend_from_slice(dc);
-        g.clear();
-        for &x in rest.iter() {
-            if let Some(cf) = cofactor_w(ctx, x, c) {
-                g.push(cf);
-            }
-        }
-        h.clear();
-        compl_rec_w(ctx, &g, &mut h, scratch);
-        if h.is_empty() {
-            continue; // fully redundant: maximally reduced away
-        }
-        let sc = h.iter().fold(0u64, |acc, &x| acc | x);
-        let r = c & sc;
-        if valid_w(ctx, r) {
-            reduced.push(r);
-        }
-    }
-    scratch.give(h);
-    scratch.give(g);
-    scratch.give(rest);
-    if reduced.is_empty() {
-        scratch.give(reduced);
-        return false;
-    }
-    let mut expanded = scratch.take();
-    expanded.extend_from_slice(&reduced);
-    expand_w(ctx, &mut expanded, off, scratch);
-    let mut useful = scratch.take();
-    for &p in expanded.iter() {
-        if reduced.iter().filter(|&&r| covers_w(p, r)).count() >= 2 {
-            useful.push(p);
-        }
-    }
-    scratch.give(expanded);
-    if useful.is_empty() {
-        scratch.give(useful);
-        scratch.give(reduced);
-        return false;
-    }
-    let mut candidate = scratch.take();
-    candidate.extend_from_slice(f);
-    candidate.extend_from_slice(&useful);
-    irredundant_w(ctx, &mut candidate, dc, scratch);
-    let better = cost_w(ctx, &candidate) < cost_w(ctx, f);
-    if better {
-        std::mem::swap(f, &mut candidate);
-    }
-    scratch.give(candidate);
-    scratch.give(useful);
-    scratch.give(reduced);
-    better
-}
-
-/// Whether `f` covers every cube of `g`.
-fn contains_all_w(ctx: BinCtx, f: &[u64], g: &[u64], scratch: &mut MinimizeScratch) -> bool {
-    g.iter()
-        .all(|&c| cover_covers_cube_w(ctx, f, c, scratch))
-}
-
-/// Debug helper mirroring the legacy `implements` invariant: `on ⊆ f ⊆
-/// on ∪ dc`.
-fn implements_w(
-    ctx: BinCtx,
-    f: &[u64],
-    on: &[u64],
-    dc: &[u64],
-    scratch: &mut MinimizeScratch,
-) -> bool {
-    let mut upper = scratch.take();
-    upper.extend_from_slice(on);
-    upper.extend_from_slice(dc);
-    let ok = contains_all_w(ctx, f, on, scratch) && contains_all_w(ctx, &upper, f, scratch);
-    scratch.give(upper);
-    ok
-}
-
-// --- driver ---------------------------------------------------------------
-
-/// The full ESPRESSO loop over single-word cube slices. Mirrors
-/// [`crate::espresso_bounded`] pass for pass: same span (`"espresso"`),
-/// same `espresso.iter` budget ticks, same counter increments, same cube
-/// orderings. Returns the minimized cover as a pool buffer (the caller
-/// should [`MinimizeScratch::give`] it back) plus the budget completion.
-pub(crate) fn espresso_words(
-    ctx: BinCtx,
-    on: &[u64],
-    dc: &[u64],
-    opts: &MinimizeOptions,
-    budget: &Budget,
-    scratch: &mut MinimizeScratch,
-) -> (Vec<u64>, Completion) {
-    let span = obs::current_or(budget.recorder()).span("espresso");
-    let _cur = obs::enter(span.recorder());
-
-    if on.is_empty() {
-        return (scratch.take(), budget.completion());
-    }
-    if !budget.tick("espresso.iter", 1) {
-        // mirror the legacy degraded path: the on-set scc'd, nothing more
-        let mut f = scratch.take();
-        f.extend_from_slice(on);
-        scc_w(&mut f);
-        return (f, budget.completion());
-    }
-
-    let mut on_dc = scratch.take();
-    on_dc.extend_from_slice(on);
-    on_dc.extend_from_slice(dc);
-    let mut off = scratch.take();
-    compl_rec_w(ctx, &on_dc, &mut off, scratch);
-    scratch.give(on_dc);
-    if off.is_empty() {
-        scratch.give(off);
-        let mut f = scratch.take();
-        f.push(ctx.full);
-        return (f, budget.completion());
-    }
-
-    let mut f = scratch.take();
-    f.extend_from_slice(on);
-    scc_w(&mut f);
-    obs::count(obs::Counter::ExpandCalls, 1);
-    expand_w(ctx, &mut f, &off, scratch);
-    obs::count(obs::Counter::IrredundantCalls, 1);
-    irredundant_w(ctx, &mut f, dc, scratch);
-    if opts.check_invariants {
-        debug_assert!(
-            implements_w(ctx, &f, on, dc, scratch),
-            "flat espresso: invariant lost after initial expand/irredundant"
-        );
-    }
-
-    let mut ess = scratch.take();
-    let mut dc_aug = scratch.take();
-    if opts.use_essentials {
-        essentials_w(ctx, &f, dc, &mut ess, scratch);
-        f.retain(|c| !ess.contains(c));
-        dc_aug.extend_from_slice(dc);
-        dc_aug.extend_from_slice(&ess);
-    } else {
-        dc_aug.extend_from_slice(dc);
-    }
-    scc_w(&mut dc_aug);
-
-    let mut best = cost_w(ctx, &f);
-    let mut iterations = 0usize;
-    let mut candidate = scratch.take();
-    'outer: loop {
-        while iterations < opts.max_iterations {
-            if !budget.tick("espresso.iter", 1) {
-                break 'outer;
-            }
-            iterations += 1;
-            obs::count(obs::Counter::EspressoIters, 1);
-            if f.is_empty() {
-                break 'outer;
-            }
-            candidate.clear();
-            candidate.extend_from_slice(&f);
-            obs::count(obs::Counter::ReduceCalls, 1);
-            reduce_w(ctx, &mut candidate, &dc_aug, scratch);
-            obs::count(obs::Counter::ExpandCalls, 1);
-            expand_w(ctx, &mut candidate, &off, scratch);
-            obs::count(obs::Counter::IrredundantCalls, 1);
-            irredundant_w(ctx, &mut candidate, &dc_aug, scratch);
-            let c = cost_w(ctx, &candidate);
-            if c < best {
-                best = c;
-                std::mem::swap(&mut f, &mut candidate);
-            } else {
-                break;
-            }
-        }
-        if !opts.use_last_gasp || iterations >= opts.max_iterations || budget.is_exhausted() {
-            break;
-        }
-        if !gasp_w(ctx, &mut f, &dc_aug, &off, scratch) {
-            break;
-        }
-        best = cost_w(ctx, &f);
-    }
-    let _ = best;
-
-    f.extend_from_slice(&ess);
-    scc_w(&mut f);
-    if opts.check_invariants {
-        debug_assert!(
-            implements_w(ctx, &f, on, dc, scratch),
-            "flat espresso: result does not implement the function"
-        );
-    }
-    scratch.give(candidate);
-    scratch.give(dc_aug);
-    scratch.give(ess);
-    scratch.give(off);
-    (f, budget.completion())
-}
-
-// ---------------------------------------------------------------------------
-// Generic multi-word engine
+// The engine
 // ---------------------------------------------------------------------------
 //
-// The same ESPRESSO loop for every domain the single-word binary engine does
-// not cover: multi-valued variables and/or more than 64 total parts. A cube
-// is a `&[u64]` chunk of fixed stride `words()` inside pooled buffers; the
-// stride is carried by the zero-sized `Stride` parameter below so the
-// monomorphized 1/2/4-word engines see a compile-time constant (the word
-// loops unroll into register-blocked straight-line code), three-word domains
-// run padded on the 4-word engine, and wider domains share one
-// dynamic-stride instantiation. Every kernel mirrors its legacy
-// `Vec<Cube>` counterpart exactly — orderings, branch variables, counters —
-// so `flat_espresso_bounded` stays bit-identical to `espresso_bounded`.
+// One ESPRESSO loop for every domain. A cube is a `&[u64]` chunk of fixed
+// stride `words()` inside pooled buffers; the stride is carried by the
+// zero-sized `Stride` parameter below so the monomorphized 1/2/4-word
+// engines see a compile-time constant (the word loops unroll into
+// register-blocked straight-line code), three-word domains run padded on
+// the 4-word engine, and wider domains share one dynamic-stride
+// instantiation. Every kernel mirrors its legacy `Vec<Cube>` counterpart
+// exactly — orderings, branch variables, counters — so
+// `flat_espresso_bounded` stays bit-identical to `espresso_bounded`.
 
 /// Compile-time-or-dynamic word stride of a cube.
 trait Stride: Copy {
@@ -1199,7 +432,7 @@ impl<const W: usize> Stride for FixedW<W> {
     }
 }
 
-/// A stride known only at run time (the generic fallback loop).
+/// A stride known only at run time (the counted loop of wider domains).
 #[derive(Clone, Copy)]
 struct DynW(usize);
 
@@ -1281,6 +514,20 @@ fn sort_chunks_by_parts(v: &mut Vec<u64>, w: usize, desc: bool, scratch: &mut Mi
     scratch.keys = keys;
 }
 
+/// Expand's part order: descending weight, ties by ascending part index —
+/// a strict total order, so any sort gives the identical sequence.
+fn sort_expand_order(v: &mut [(usize, usize)]) {
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && (x.1 > v[j - 1].1 || (x.1 == v[j - 1].1 && x.0 < v[j - 1].0)) {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
+    }
+}
+
 /// Drops every chunk of `v` that appears verbatim in `list`, preserving
 /// order (the chunk analogue of `f.retain(|c| !list.contains(c))`).
 fn retain_chunks_not_in(v: &mut Vec<u64>, list: &[u64], w: usize) {
@@ -1296,7 +543,7 @@ fn retain_chunks_not_in(v: &mut Vec<u64>, list: &[u64], w: usize) {
     v.truncate(write * w);
 }
 
-/// Context of the generic engine: the flattened domain and the stride
+/// Context of the engine: the flattened domain and the stride
 /// carrier. Copy-cheap (one reference plus a zero-sized or one-word
 /// carrier), threaded by value through the passes; each `Stride`
 /// monomorphizes its own engine, whose whole-cube word operations are the
@@ -1326,13 +573,6 @@ impl<S: Stride> MvCtx<'_, S> {
     #[inline]
     fn covers(&self, a: &[u64], b: &[u64]) -> bool {
         simd::covers(&a[..self.w()], &b[..self.w()])
-    }
-
-    /// Whether the meet `a ∧ b` is a valid cube — the legacy
-    /// `Cube::intersects` (distance 0).
-    #[inline]
-    fn meet_valid(&self, a: &[u64], b: &[u64]) -> bool {
-        self.fd.meet_empty_count(a, b, self.w()) == 0
     }
 
     /// The cube distance of `a` and `b` ([`cube_distance`] at this stride).
@@ -1370,12 +610,11 @@ impl<S: Stride> MvCtx<'_, S> {
     fn cofactor_all(&self, cubes: &[u64], p: &[u64], out: &mut Vec<u64>) {
         let w = self.w();
         for x in cubes.chunks_exact(w) {
-            if !self.meet_valid(x, p) {
-                continue;
-            }
             let base = out.len();
             out.resize(base + w, 0);
-            simd::cofactor_into(&mut out[base..base + w], x, p, &self.fd.full);
+            if !self.fd.cofactor_into(x, p, &mut out[base..], w) {
+                out.truncate(base);
+            }
         }
     }
 
@@ -1409,24 +648,12 @@ impl<S: Stride> MvCtx<'_, S> {
     }
 
     /// Appends the consensus of `a` and `b` (caller guarantees distance
-    /// exactly 1): the meet everywhere, the union in the one conflicting
-    /// variable — the legacy `Cube::consensus`.
+    /// exactly 1) — the legacy `Cube::consensus`.
     fn push_consensus(&self, a: &[u64], b: &[u64], out: &mut Vec<u64>) {
         let w = self.w();
         let base = out.len();
         out.resize(base + w, 0);
-        simd::and_into(&mut out[base..base + w], &a[..w], &b[..w]);
-        for v in 0..self.fd.num_vars {
-            if !self.fd.meet_var_empty(a, b, v) {
-                continue;
-            }
-            let (first, start, span) = self.fd.var_spans[v];
-            for k in 0..span {
-                out[base + first + k] |=
-                    (a[first + k] | b[first + k]) & self.fd.masks[start + k];
-            }
-            break;
-        }
+        self.fd.consensus_into(a, b, &mut out[base..], w);
     }
 
     /// In-place single-cube containment, mirroring [`Cover::scc`]: stable
@@ -1574,7 +801,7 @@ impl<S: Stride> MvCtx<'_, S> {
         };
         let parts = self.fd.parts[v];
         let mut branch = scratch.take();
-        let mut results: Vec<Vec<u64>> = Vec::with_capacity(parts);
+        let mut results = scratch.lists.pop().unwrap_or_default();
         for p in 0..parts {
             branch.clear();
             self.cofactor_all_by_part(cubes, v, p, &mut branch);
@@ -1617,9 +844,10 @@ impl<S: Stride> MvCtx<'_, S> {
         out.extend_from_slice(&lifted);
         self.scc(out, scratch);
         scratch.give(lifted);
-        for r in results {
+        for r in results.drain(..) {
             scratch.give(r);
         }
+        scratch.lists.push(results);
     }
 
     /// Whether the cover `f` covers the single cube `c` (tautology of the
@@ -1686,7 +914,7 @@ impl<S: Stride> MvCtx<'_, S> {
                 // the cube lies in ON ∪ DC and the off-set is its complement
                 debug_assert!(count >= 1, "expand: cube meets the off-set");
                 if count == 1 {
-                    fd.or_blocking_literals(&cand, o, &mut forbidden, w);
+                    fd.or_on_empty_vars(&cand, o, &mut forbidden, w, |_, y| y);
                 }
                 counts.push(count as u32);
             }
@@ -1706,7 +934,7 @@ impl<S: Stride> MvCtx<'_, S> {
                     debug_assert!(*count >= 2, "expand: raised a forbidden part");
                     *count -= 1;
                     if *count == 1 {
-                        fd.or_blocking_literals(&cand, o, &mut forbidden, w);
+                        fd.or_on_empty_vars(&cand, o, &mut forbidden, w, |_, y| y);
                     }
                 }
             }
@@ -1975,12 +1203,12 @@ impl<S: Stride> MvCtx<'_, S> {
     }
 }
 
-/// The full ESPRESSO loop over fixed-stride multi-word cube chunks — the
-/// generic-rung counterpart of [`espresso_words`], mirroring
-/// [`crate::espresso_bounded`] pass for pass: same span (`"espresso"`),
-/// same `espresso.iter` budget ticks, same counter increments, same cube
-/// orderings. Returns the minimized cover as a pool buffer (the caller
-/// should [`MinimizeScratch::give`] it back) plus the budget completion.
+/// The ESPRESSO driver: the full loop over fixed-stride cube chunks,
+/// mirroring [`crate::espresso_bounded`] pass for pass: same span
+/// (`"espresso"`), same `espresso.iter` budget ticks, same counter
+/// increments, same cube orderings. Returns the minimized cover as a pool
+/// buffer (the caller should [`MinimizeScratch::give`] it back) plus the
+/// budget completion.
 fn espresso_chunks<S: Stride>(
     ctx: MvCtx<'_, S>,
     on: &[u64],
@@ -2096,7 +1324,7 @@ fn espresso_chunks<S: Stride>(
     (f, budget.completion())
 }
 
-/// Runs the generic engine at its stride rung: the monomorphized 1/2/4-word
+/// Runs the engine at its stride rung: the monomorphized 1/2/4-word
 /// rungs, three-word domains padded onto the 4-word rung ([`run_padded`]),
 /// and the dynamic-stride rung for wider domains.
 fn run_stride(
@@ -2167,11 +1395,10 @@ fn unpad_stride(src: &[u64], from: usize, to: usize, out: &mut Vec<u64>) {
     }
 }
 
-/// Routes a word-form minimization to the right engine rung: the inline
-/// single-word binary engine where it applies, otherwise the generic engine
-/// at its stride rung ([`run_stride`]). Total — every domain is handled;
-/// nothing routes back to the legacy driver (the
-/// [`obs::Counter::LegacyFallback`] tripwire stays at zero).
+/// Runs a word-form minimization over `dom` on the engine at the domain's
+/// stride rung ([`run_stride`]), with the layout cached in `scratch`.
+/// Total — every domain is handled, and nothing routes to the legacy
+/// driver.
 fn run_words(
     dom: &Domain,
     on_w: &[u64],
@@ -2180,9 +1407,6 @@ fn run_words(
     budget: &Budget,
     scratch: &mut MinimizeScratch,
 ) -> (Vec<u64>, Completion) {
-    if flat_eligible(dom) {
-        return espresso_words(BinCtx::new(dom), on_w, dc_w, opts, budget, scratch);
-    }
     let fd = scratch.take_layout(dom);
     let out = run_stride(&fd, on_w, dc_w, opts, budget, scratch);
     scratch.put_layout(dom, fd);
@@ -2230,11 +1454,10 @@ fn words_to_cover(dom: &Domain, words: &[u64]) -> Cover {
     )
 }
 
-/// Allocation-free ESPRESSO under a budget, on **every** domain. Eligible
-/// all-binary domains (see [`flat_eligible`]) take the inline single-word
-/// engine; everything else takes the generic multi-word engine at its
-/// stride's specialization rung. Bit-identical to the legacy
-/// [`crate::espresso_bounded`] in all cases — and never calls it.
+/// ESPRESSO under a budget on the flat engine, for **every** domain: the
+/// one driver at the stride rung of the domain's cube width. Bit-identical
+/// to the legacy [`crate::espresso_bounded`] in all cases — and never
+/// calls it.
 pub fn flat_espresso_bounded(
     on: &Cover,
     dc: &Cover,
@@ -2290,13 +1513,6 @@ mod tests {
     }
 
     #[test]
-    fn eligibility_requires_all_binary_single_word() {
-        assert!(flat_eligible(&Domain::binary(1)));
-        assert!(flat_eligible(&Domain::binary(32)));
-        assert!(!flat_eligible(&Domain::binary(33)));
-    }
-
-    #[test]
     fn flat_matches_legacy_on_minterm_covers() {
         let dom = Domain::binary(4);
         let on = cover_from_codes(&dom, 4, &[0, 1, 2, 3, 8, 9]);
@@ -2304,16 +1520,6 @@ mod tests {
         let legacy = espresso(&on, &dc);
         let flat = flat_espresso(&on, &dc);
         assert_eq!(legacy, flat);
-    }
-
-    #[test]
-    fn flat_cover_roundtrips() {
-        let dom = Domain::binary(3);
-        let on = cover_from_codes(&dom, 3, &[0, 3, 5]);
-        let fc = FlatCover::from_cover(&on);
-        assert_eq!(fc.len(), 3);
-        assert_eq!(fc.stride(), 1);
-        assert_eq!(fc.to_cover(&dom), on);
     }
 
     #[test]
@@ -2398,7 +1604,7 @@ mod tests {
                     }
                 }
                 let mut got = vec![0u64; w];
-                fd.or_blocking_literals(&a, &b, &mut got, w);
+                fd.or_on_empty_vars(&a, &b, &mut got, w, |_, y| y);
                 assert_eq!(got, want);
 
                 let pad = |c: &[u64]| {
@@ -2471,13 +1677,14 @@ mod tests {
 
     #[test]
     fn flat_matches_legacy_on_multi_valued_domain() {
-        // 5 + 3 + 2 parts in one word, but multi-valued: generic 1-word rung.
+        // 5 + 3 + 2 parts in one word, multi-valued: the 1-word rung with
+        // two variables left to the span walk.
         let dom = crate::domain::DomainBuilder::new()
             .multi("a", 5)
             .multi("b", 3)
             .binary("c")
             .build();
-        assert!(!flat_eligible(&dom));
+        assert_eq!(dom.words(), 1);
         let mut on = Cover::empty(&dom);
         for (a, b, c) in [(0, 0, false), (1, 0, false), (0, 1, false), (2, 2, true), (3, 2, true)]
         {
@@ -2510,6 +1717,16 @@ mod tests {
         d.restrict_binary(dom, 0, true);
         dc.push(d);
         (on, dc)
+    }
+
+    #[test]
+    fn flat_matches_legacy_on_full_one_word_binary_domain() {
+        // 32 binary vars fill the word: the last pair sits at bits 62–63.
+        let dom = Domain::binary(32);
+        assert_eq!(dom.words(), 1);
+        assert_eq!(dom.total_parts(), 64);
+        let (on, dc) = sparse_binary_cover(&dom, 32, 31);
+        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc));
     }
 
     #[test]

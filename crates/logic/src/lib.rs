@@ -35,9 +35,10 @@
 //!   the deterministic fault-injection harness that tests them.
 //! - [`obs`]: deterministic spans + counters (inert until a recorder is
 //!   installed).
-//! - [`flat`]: allocation-free flat cover kernels and the flat ESPRESSO
-//!   engine ([`flat_espresso_bounded`]) covering every domain via a
-//!   1/2/4-word specialization ladder over the cube stride.
+//! - [`flat`]: the word-slice cube kernels and the flat ESPRESSO engine
+//!   ([`flat_espresso_bounded`]): one driver for every domain,
+//!   monomorphized per cube stride (1, 2 and 4 words, three padded to
+//!   four, a counted loop above).
 //! - [`simd`]: the lane-unrolled word kernels beneath the flat engine, the
 //!   [`WordSet`] bitset and refine's masked greedy — one definition per
 //!   word operation, written for the auto-vectorizer.
@@ -102,8 +103,8 @@ pub use exact::{exact_minimize, exact_minimize_bounded, ExactOutcome};
 pub use expand::expand;
 pub use flat::{
     cube_and_into, cube_cofactor_into, cube_consensus_into, cube_contains, cube_distance,
-    cube_is_valid, flat_eligible, flat_espresso, flat_espresso_bounded, flat_espresso_with,
-    FlatCover, FlatDomain, MinimizeScratch,
+    cube_is_valid, flat_espresso, flat_espresso_bounded, flat_espresso_with, FlatDomain,
+    MinimizeScratch,
 };
 pub use gasp::last_gasp;
 pub use irredundant::irredundant;

@@ -112,15 +112,6 @@ pub enum Counter {
     /// Minimization requests that ran the minimizer (cache disabled, cold
     /// entry, or capacity reached).
     MinimizeCacheMiss,
-    /// Minimizations that silently fell back from the flat engine to the
-    /// legacy `Vec<Cube>` driver. Since the flat engine covers every domain
-    /// (single- and multi-word, binary and multi-valued), **nothing bumps
-    /// this counter**: it exists as a tripwire so any future eligibility
-    /// regression fails the zero-fallback bench-tier test loudly instead of
-    /// silently losing the flat engine's speedup. Explicitly *selecting*
-    /// [`crate::CoverEngine::Legacy`] (differential oracle runs, A/B bench
-    /// legs) is not a fallback and must not bump it either.
-    LegacyFallback,
     /// Flat-engine runs dispatched to a kernel backend. The engine has one
     /// kernel set ([`crate::simd`]) and dispatches nothing, so nothing
     /// bumps this counter; it stays only because the benchmark's
@@ -167,7 +158,6 @@ impl Counter {
         Counter::MinimizeCalls,
         Counter::MinimizeCacheHit,
         Counter::MinimizeCacheMiss,
-        Counter::LegacyFallback,
         Counter::KernelDispatches,
         Counter::KernelWideCalls,
         Counter::SatDecisions,
@@ -200,7 +190,6 @@ impl Counter {
             Counter::MinimizeCalls => "minimize_calls",
             Counter::MinimizeCacheHit => "minimize_cache_hit",
             Counter::MinimizeCacheMiss => "minimize_cache_miss",
-            Counter::LegacyFallback => "legacy_fallback",
             Counter::KernelDispatches => "kernel_dispatches",
             Counter::KernelWideCalls => "kernel_wide_calls",
             Counter::SatDecisions => "sat_decisions",

@@ -2,22 +2,24 @@
 //! `Vec<Cube>` reference.
 //!
 //! Three layers are pinned down here:
-//! 1. the generic word-parallel kernels (`cube_*_into`, `cube_distance`)
-//!    against the legacy [`Cube`] operations, on mixed binary/multi-valued
-//!    and multi-word domains, including binary variables that straddle a
-//!    word boundary, a three-word domain, and four- and eight-word domains
-//!    whose cubes fill whole 4-lane blocks. `cube_contains`,
-//!    `cube_and_into` and the cofactor body are the lane-unrolled kernels
-//!    the engine itself runs;
+//! 1. the word-parallel kernels (`cube_*_into`, `cube_distance`) against
+//!    the legacy [`Cube`] operations, on mixed binary/multi-valued and
+//!    multi-word domains, including binary variables that straddle a word
+//!    boundary, a three-word domain, and four- and eight-word domains whose
+//!    cubes fill whole 4-lane blocks. Each kernel is the code the engine
+//!    itself runs: `cube_contains` and `cube_and_into` are its lane-unrolled
+//!    loops, `cube_distance` its meet test, and `cube_consensus_into` and
+//!    `cube_cofactor_into` share their bodies with its essentials and
+//!    cofactor steps;
 //! 2. [`flat_espresso_bounded`] against [`espresso_bounded`] — bit-identical
 //!    covers, completions, and byte-identical traces, on unlimited and
-//!    tightly bounded budgets alike. The corpus spans every
-//!    rung of the flat engine's specialization ladder: the single-word
-//!    binary fast path plus multi-valued domains at 1-, 2-, 3- (padded to
-//!    4), 4-, and 8-word strides (mixed part counts up
-//!    to 70 parts per variable), so the legacy engine's only remaining
-//!    role — independent oracle — is exercised on exactly the domains the
-//!    flat engine now owns;
+//!    tightly bounded budgets alike. The corpus spans every stride rung of
+//!    the flat engine: all-binary one-word domains of 4, 5 and 7 variables
+//!    (the widths evaluation prices) plus multi-valued domains at 1-, 2-,
+//!    3- (padded to 4), 4-, and 8-word strides (mixed part counts up to 70
+//!    parts per variable), so the legacy engine's only remaining role —
+//!    independent oracle — is exercised on exactly the domains the flat
+//!    engine owns;
 //! 3. the [`MinimizeCache`] view over a [`GlobalMinimizeCache`] — memo
 //!    lookups, uncached lookups, flat, and legacy must all agree.
 
@@ -27,9 +29,9 @@
 
 use picola_logic::{
     cube_and_into, cube_cofactor_into, cube_consensus_into, cube_contains, cube_distance,
-    cube_is_valid, espresso_bounded, flat_eligible, flat_espresso_bounded, Budget, Cover,
-    CoverEngine, Cube, Domain, DomainBuilder, FlatCover, FlatDomain, GlobalMinimizeCache,
-    MinimizeCache, MinimizeOptions, MinimizeScratch, Trace,
+    cube_is_valid, espresso_bounded, flat_espresso_bounded, Budget, Cover, CoverEngine, Cube,
+    Domain, DomainBuilder, FlatDomain, GlobalMinimizeCache, MinimizeCache, MinimizeOptions,
+    MinimizeScratch, Trace,
 };
 use proptest::prelude::*;
 
@@ -141,9 +143,9 @@ fn cube_from_picks(dom: &Domain, picks: &[u8]) -> Cube {
     c
 }
 
-/// A one-word multi-valued domain (10 parts): the generic engine's
-/// `FixedW<1>` rung — same stride as the binary fast path, different
-/// kernels.
+/// A one-word multi-valued domain (10 parts): the engine's one-word rung
+/// with variables left to the span walk, which all-binary one-word domains
+/// never reach.
 fn one_word_mv_domain() -> Domain {
     DomainBuilder::new()
         .multi("s", 5)
@@ -295,14 +297,11 @@ fn assert_engines_agree(on: &Cover, dc: &Cover, limit: Option<u64>) -> Result<()
     Ok(())
 }
 
-/// The generic word kernels (`cube_*`) against the legacy [`Cube`]
-/// operations on one pair of valid cubes.
+/// The word kernels (`cube_*`) against the legacy [`Cube`] operations on
+/// one pair of valid cubes. The consensus and cofactor kernels run the
+/// same bodies as the engine's essentials and cofactor steps.
 fn assert_kernels_mirror(dom: &Domain, a: &Cube, b: &Cube) -> Result<(), TestCaseError> {
     let fd = FlatDomain::new(dom);
-    prop_assert!(
-        !flat_eligible(dom),
-        "this corpus must exercise the generic path"
-    );
     prop_assert_eq!(fd.words(), dom.words());
 
     prop_assert_eq!(cube_is_valid(&fd, a.words()), a.is_valid(dom));
@@ -337,10 +336,15 @@ proptest! {
     fn flat_espresso_is_bit_identical_to_legacy(
         on in binary_cover(5, 8),
         dc in binary_cover(5, 3),
+        on7 in binary_cover(7, 10),
+        dc7 in binary_cover(7, 3),
     ) {
-        prop_assume!(!overlaps(&on, &dc));
-        prop_assert!(flat_eligible(on.domain()));
-        assert_engines_agree(&on, &dc, None)?;
+        // seven variables: large-tier evaluation prices covers of 7–8
+        for (on, dc) in [(on, dc), (on7, dc7)] {
+            prop_assume!(!overlaps(&on, &dc));
+            prop_assert_eq!(on.domain().words(), 1);
+            assert_engines_agree(&on, &dc, None)?;
+        }
     }
 
     #[test]
@@ -351,13 +355,6 @@ proptest! {
     ) {
         prop_assume!(!overlaps(&on, &dc));
         assert_engines_agree(&on, &dc, Some(limit))?;
-    }
-
-    #[test]
-    fn flat_cover_roundtrips_any_cover(f in binary_cover(4, 6)) {
-        let fc = FlatCover::from_cover(&f);
-        prop_assert_eq!(fc.len(), f.len());
-        prop_assert_eq!(fc.to_cover(f.domain()), f);
     }
 
     #[test]
@@ -413,7 +410,6 @@ proptest! {
     fn flat_mv_engine_matches_legacy_one_word(
         (on, dc) in mv_engine_corpus(one_word_mv_domain(), 5, 2),
     ) {
-        prop_assert!(!flat_eligible(on.domain()), "must take the generic rung");
         prop_assert_eq!(on.domain().words(), 1);
         assert_engines_agree(&on, &dc, None)?;
     }

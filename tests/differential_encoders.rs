@@ -20,13 +20,13 @@
 // exemption misses integration-test helpers, so waive it explicitly.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use picola::baselines::{standard_members, standard_portfolio};
+use picola::baselines::{standard_members, standard_portfolio, NaturalEncoder};
 use picola::constraints::{min_code_length, Encoding, GroupConstraint};
 use picola::core::{
-    evaluate_encoding_cached, Budget, CoverEngine, EvalContext, EvalOptions,
+    evaluate_encoding_cached, Budget, CoverEngine, Encoder, EvalContext, EvalOptions,
 };
 use picola::sat::{exact_cost, ExactOracle};
-use picola_bench::corpus::{corpus, Instance};
+use picola_bench::corpus::{corpus, corpus_tier, Instance, Tier};
 use std::collections::HashSet;
 
 const CORPUS_SEED: u64 = 0xD1FF;
@@ -144,7 +144,9 @@ fn evaluation_is_identical_across_engines_and_cache_modes() {
     // Every (engine, cache) combination of the evaluation pipeline must
     // price every encoder's encoding identically — per-constraint cube
     // counts included, not just the total. Contexts are long-lived across
-    // the whole corpus so the cached legs exercise genuine memo hits.
+    // the whole corpus so the cached legs exercise genuine memo hits. The
+    // large tier (24–128 symbols, up to 8 code bits) adds the widest
+    // one-word binary covers evaluation minimizes.
     //
     // `PICOLA_ORACLE_ORDER=legacy-first` runs the legacy-oracle legs before
     // the flat ones; CI runs the suite once per order, proving the verdict
@@ -162,32 +164,39 @@ fn evaluation_is_identical_across_engines_and_cache_modes() {
         legs.swap(1, 3);
     }
     let mut ctxs: Vec<EvalContext> = legs.iter().map(|_| EvalContext::new()).collect();
-    for inst in corpus(20, CORPUS_SEED) {
-        for member in standard_members(CORPUS_SEED) {
-            let (enc, _) =
-                member.encode_bounded(inst.n, &inst.constraints, &Budget::unlimited());
-            let mut evals = legs.iter().zip(ctxs.iter_mut()).map(|(&(engine, cache), ctx)| {
+    let mut check = |inst: &Instance, enc: &Encoding, encoder: &str| {
+        let mut evals = legs
+            .iter()
+            .zip(ctxs.iter_mut())
+            .map(|(&(engine, cache), ctx)| {
                 let opts = EvalOptions {
                     engine,
                     cache,
                     ..EvalOptions::default()
                 };
-                evaluate_encoding_cached(&enc, &inst.constraints, &opts, ctx)
+                evaluate_encoding_cached(enc, &inst.constraints, &opts, ctx)
             });
-            let reference = evals.next().expect("at least one leg");
-            for (ev, &(engine, cache)) in evals.zip(&legs[1..]) {
-                assert_eq!(
-                    ev,
-                    reference,
-                    "{}/{}: {engine:?}/cache={cache} diverges from \
-                     {:?}/cache={} (the reference leg)",
-                    inst.name,
-                    member.name(),
-                    legs[0].0,
-                    legs[0].1
-                );
-            }
+        let reference = evals.next().expect("at least one leg");
+        for (ev, &(engine, cache)) in evals.zip(&legs[1..]) {
+            assert_eq!(
+                ev, reference,
+                "{}/{encoder}: {engine:?}/cache={cache} diverges from \
+                 {:?}/cache={} (the reference leg)",
+                inst.name, legs[0].0, legs[0].1
+            );
         }
+    };
+    for inst in corpus(20, CORPUS_SEED) {
+        for member in standard_members(CORPUS_SEED) {
+            let (enc, _) =
+                member.encode_bounded(inst.n, &inst.constraints, &Budget::unlimited());
+            check(&inst, &enc, member.name());
+        }
+    }
+    for inst in corpus_tier(8, 0x0001_C01A, Tier::Large) {
+        let (enc, _) =
+            NaturalEncoder.encode_bounded(inst.n, &inst.constraints, &Budget::unlimited());
+        check(&inst, &enc, "natural");
     }
     // The cached flat leg must have actually hit the memo: repeat constraint
     // functions recur across encodings and instances.
