@@ -339,7 +339,8 @@ proptest! {
         on7 in binary_cover(7, 10),
         dc7 in binary_cover(7, 3),
     ) {
-        // seven variables: large-tier evaluation prices covers of 7–8
+        // five variables, then seven: large-tier evaluation prices
+        // covers of up to eight
         for (on, dc) in [(on, dc), (on7, dc7)] {
             prop_assume!(!overlaps(&on, &dc));
             prop_assert_eq!(on.domain().words(), 1);
