@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use picola_fsm::{benchmark_fsm, symbolic_cover};
-use picola_logic::{complement, espresso, tautology, Cover, Domain};
+use picola_logic::{complement, flat_espresso, tautology, Cover, Domain};
 use std::hint::black_box;
 
 /// A pseudo-random dense cover over `nvars` binary variables.
@@ -51,14 +51,14 @@ fn bench_espresso(c: &mut Criterion) {
     let f8 = random_cover(8, 20, 3);
     let dc8 = Cover::empty(f8.domain());
     c.bench_function("espresso/8var-20cubes", |b| {
-        b.iter(|| espresso(black_box(&f8), black_box(&dc8)))
+        b.iter(|| flat_espresso(black_box(&f8), black_box(&dc8)))
     });
 
     // Multi-valued symbolic cover of a mid-size suite machine.
     let fsm = benchmark_fsm("keyb").expect("suite machine");
     let sc = symbolic_cover(&fsm);
     c.bench_function("espresso/symbolic-keyb", |b| {
-        b.iter(|| espresso(black_box(&sc.on), black_box(&sc.dc)))
+        b.iter(|| flat_espresso(black_box(&sc.on), black_box(&sc.dc)))
     });
 }
 

@@ -3,16 +3,11 @@
 //! Races every member of the standard portfolio on each corpus instance —
 //! individually on private budgets (attributing wall time and work units
 //! per encoder), then as a portfolio sequentially and in parallel — plus
-//! three A/B comparisons, encodings cross-checked bit-identical:
+//! three comparisons, results cross-checked bit-identical:
 //!
-//! * refine engines (incremental vs naive, threads 1 and N);
-//! * the evaluation pipeline (flat+memo vs flat-uncached vs
-//!   legacy-uncached), pricing every member encoding repeatedly;
-//! * the ENC-style baseline (minimization-in-the-loop) on the cached flat
-//!   pipeline vs the legacy uncached one;
-//! * multi-valued covers (`mv_ab`): the instance's constraints rendered as
-//!   a symbol×tag MV cover and minimized flat vs legacy — the domains the
-//!   flat engine used to silently fall back on, now first-class;
+//! * the shared memo (`serve_ab`): an ENC-style job cold against a fresh
+//!   global memo, then warm against the memo the cold run left behind —
+//!   what a second request sees on a running `picola serve`;
 //! * the optimality gap (`sat_ab`): on instances inside the SAT oracle's
 //!   size guard (`nv <= 4`), the proven optimum vs every heuristic
 //!   member's exact cost — the oracle's witness must re-cost bit-for-bit
@@ -29,7 +24,10 @@
 //! counter tree of the sequential portfolio run), plus the warm leg's
 //! stream records as a compact binary artifact (`--format bin`, the
 //! default) or its JSON debug export (`--format json`) next to the report.
-//! See README.md ("Reading the bench JSON") for the schema.
+//! See README.md ("Reading the bench JSON") for the schema. Schema v11
+//! dropped the legs that raced the deleted engine selectors (`refine`,
+//! `eval_ab`, `enc_ab`, `mv_ab`); the checked-in `BENCH_pr4`–`pr10`
+//! reports carry their last answers.
 //!
 //! `--tier huge` is stream-only: the per-instance suite is skipped
 //! (`instances` is empty) and the report carries just the `stream` block —
@@ -48,11 +46,10 @@ use picola_bench::corpus::{generate_iter, Instance, Tier};
 use picola_bench::stream::{run_stream, StreamConfig, StreamReport};
 use picola_constraints::{min_code_length, Encoding};
 use picola_core::{
-    estimate_cubes, evaluate_encoding_cached, try_picola_encode_with, Budget, CoverEngine,
-    EngineConfig, EngineHandle, EvalContext, EvalOptions, GlobalMinimizeCache, PicolaOptions,
-    RefineEngine,
+    estimate_cubes, Budget, EngineConfig, EngineHandle, EvalContext, EvalOptions,
+    GlobalMinimizeCache,
 };
-use picola_logic::{obs, Counter, Cover, Cube, DomainBuilder, MinimizeCache, SpanSnapshot, Trace};
+use picola_logic::{SpanSnapshot, Trace};
 use picola_sat::{exact_cost, ExactOracle};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -175,10 +172,6 @@ struct InstanceReport {
     /// created without a wall clock, so re-runs produce identical blocks).
     metrics: SpanSnapshot,
     metrics_work: u64,
-    refine: RefineReport,
-    eval_ab: AbReport,
-    enc_ab: AbReport,
-    mv_ab: AbReport,
     serve_ab: ServeAbReport,
     sat_ab: SatAbReport,
 }
@@ -387,271 +380,6 @@ fn run_serve_ab(inst: &Instance) -> Result<ServeAbReport, String> {
     best.ok_or_else(|| "serve A/B: no repetitions ran".to_owned())
 }
 
-/// One leg of an evaluation-pipeline or ENC A/B comparison.
-struct AbLeg {
-    engine: &'static str,
-    cache: bool,
-    wall_ns: u64,
-    /// Deterministic work units: minimize calls (eval leg) or full-cost
-    /// evaluations (ENC leg). Identical across repetitions and across legs.
-    work: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cost: usize,
-}
-
-struct AbReport {
-    legs: Vec<AbLeg>,
-    /// Every leg produced bit-identical results (costs, and for ENC the
-    /// final encoding too).
-    matches: bool,
-    /// Baseline (last leg: legacy engine, cache off) wall-per-work divided
-    /// by the cached flat leg's wall-per-work — ≥ 1 when the new pipeline
-    /// wins.
-    speedup_per_work: f64,
-}
-
-fn per_work_speedup(legs: &[AbLeg]) -> f64 {
-    let per = |l: &AbLeg| l.wall_ns as f64 / l.work.max(1) as f64;
-    let fast = legs.first().map(per).unwrap_or(1.0);
-    let slow = legs.last().map(per).unwrap_or(1.0);
-    slow / fast.max(1e-9)
-}
-
-/// The (engine, cache) legs of the evaluation A/B: the new default first,
-/// the cache's contribution in the middle, the pre-PR-5 pipeline (legacy
-/// engine, no memo) last as the baseline.
-const EVAL_LEGS: [(CoverEngine, bool, &str); 3] = [
-    (CoverEngine::Flat, true, "flat"),
-    (CoverEngine::Flat, false, "flat"),
-    (CoverEngine::Legacy, false, "legacy"),
-];
-
-/// Evaluation-pipeline A/B: prices every member encoding `EVAL_PASSES`
-/// times per leg (repeat passes are what search loops do, and what the memo
-/// accelerates), best-of-`AB_REPS` wall per leg, work = minimize calls
-/// (asserted identical across repetitions *and* legs).
-fn run_eval_ab(inst: &Instance, encodings: &[Encoding]) -> Result<AbReport, String> {
-    const EVAL_PASSES: usize = 3;
-    const AB_REPS: usize = 3;
-    let mut legs = Vec::new();
-    for (engine, cache, engine_name) in EVAL_LEGS {
-        let opts = EvalOptions {
-            engine,
-            cache,
-            ..EvalOptions::default()
-        };
-        let mut best: Option<AbLeg> = None;
-        for _ in 0..AB_REPS {
-            let trace = Trace::new();
-            let mut ctx = EvalContext::new();
-            let mut cost = 0usize;
-            let t = Instant::now();
-            {
-                let span = trace.recorder().span("eval-ab");
-                let _cur = obs::enter(span.recorder());
-                for _ in 0..EVAL_PASSES {
-                    for enc in encodings {
-                        cost += evaluate_encoding_cached(enc, &inst.constraints, &opts, &mut ctx)
-                            .total_cubes;
-                    }
-                }
-            }
-            let wall_ns = t.elapsed().as_nanos() as u64;
-            let work = trace.counter_total(Counter::MinimizeCalls);
-            let leg = AbLeg {
-                engine: engine_name,
-                cache,
-                wall_ns,
-                work,
-                cache_hits: ctx.cache.hits(),
-                cache_misses: ctx.cache.misses(),
-                cost,
-            };
-            if let Some(prev) = &best {
-                if (prev.work, prev.cost) != (leg.work, leg.cost) {
-                    return Err(format!(
-                        "{}: eval {engine_name}/cache={cache}: nondeterministic leg \
-                         (work {} vs {}, cost {} vs {})",
-                        inst.name, prev.work, leg.work, prev.cost, leg.cost
-                    ));
-                }
-            }
-            if best.as_ref().is_none_or(|p| leg.wall_ns < p.wall_ns) {
-                best = Some(leg);
-            }
-        }
-        legs.push(best.ok_or("eval A/B: no repetitions ran")?);
-    }
-    let matches = legs.iter().all(|l| l.cost == legs[0].cost && l.work == legs[0].work);
-    let speedup_per_work = per_work_speedup(&legs);
-    Ok(AbReport {
-        legs,
-        matches,
-        speedup_per_work,
-    })
-}
-
-/// ENC-baseline A/B: the full minimization-in-the-loop local search on the
-/// cached flat pipeline vs the pre-PR-5 one (legacy engine, no memo). Work
-/// = full-cost evaluations — bit-identical costs mean bit-identical search
-/// trajectories, so both legs must report the same count and encoding.
-fn run_enc_ab(inst: &Instance) -> Result<AbReport, String> {
-    const ENC_AB_EVALS: usize = 120;
-    const AB_REPS: usize = 3;
-    let enc_legs: [(CoverEngine, bool, &str); 2] = [
-        (CoverEngine::Flat, true, "flat"),
-        (CoverEngine::Legacy, false, "legacy"),
-    ];
-    let mut legs = Vec::new();
-    let mut encodings: Vec<Encoding> = Vec::new();
-    for (engine, cache, engine_name) in enc_legs {
-        let encoder = EncLikeEncoder {
-            max_evaluations: ENC_AB_EVALS,
-            eval: EvalOptions {
-                engine,
-                cache,
-                ..EvalOptions::default()
-            },
-        };
-        let mut best: Option<AbLeg> = None;
-        let mut encoding = None;
-        for _ in 0..AB_REPS {
-            let t = Instant::now();
-            let (enc, info) = encoder.encode_detailed(inst.n, &inst.constraints);
-            let wall_ns = t.elapsed().as_nanos() as u64;
-            let leg = AbLeg {
-                engine: engine_name,
-                cache,
-                wall_ns,
-                work: info.evaluations as u64,
-                cache_hits: info.cache_hits,
-                cache_misses: info.cache_misses,
-                cost: info.total_cubes,
-            };
-            if let Some(prev) = &best {
-                if (prev.work, prev.cost) != (leg.work, leg.cost) {
-                    return Err(format!(
-                        "{}: enc {engine_name}/cache={cache}: nondeterministic leg \
-                         (work {} vs {}, cost {} vs {})",
-                        inst.name, prev.work, leg.work, prev.cost, leg.cost
-                    ));
-                }
-            }
-            if best.as_ref().is_none_or(|p| leg.wall_ns < p.wall_ns) {
-                best = Some(leg);
-            }
-            encoding.get_or_insert(enc);
-        }
-        legs.push(best.ok_or("enc A/B: no repetitions ran")?);
-        encodings.push(encoding.ok_or("enc A/B: no encoding produced")?);
-    }
-    let matches = encodings.iter().all(|e| *e == encodings[0])
-        && legs
-            .iter()
-            .all(|l| l.cost == legs[0].cost && l.work == legs[0].work);
-    let speedup_per_work = per_work_speedup(&legs);
-    Ok(AbReport {
-        legs,
-        matches,
-        speedup_per_work,
-    })
-}
-
-/// Renders the instance's constraint set as a genuinely multi-valued cover:
-/// one MV variable over the `n` symbols, one over the constraint tags, and
-/// one cube per constraint whose symbol literal is the member set and whose
-/// tag literal is that constraint's index. On the large tier this spans
-/// several cube words (128 symbol parts alone is two words), so minimizing
-/// it exercises the flat engine's multi-word specialization rungs — the
-/// domains that used to fall back to the legacy engine silently.
-fn mv_cover(inst: &Instance) -> (Cover, Cover) {
-    let tags = inst.constraints.len().max(2);
-    let dom = DomainBuilder::new()
-        .multi("s", inst.n.max(2))
-        .multi("t", tags)
-        .build();
-    let sym_off = dom.var(0).offset();
-    let mut on = Cover::empty(&dom);
-    for (i, c) in inst.constraints.iter().enumerate() {
-        let mut cube = Cube::full(&dom);
-        for p in 0..inst.n.max(2) {
-            if !c.members().contains(p) {
-                cube.clear_part(sym_off + p);
-            }
-        }
-        cube.restrict(&dom, 1, i);
-        on.push(cube);
-    }
-    (on, Cover::empty(&dom))
-}
-
-/// Multi-valued cover A/B: minimizes the instance's symbol×tag constraint
-/// cover `MV_PASSES` times per leg through a [`MinimizeCache`] view over a
-/// fresh memo — cached flat, uncached flat, then uncached legacy as the
-/// baseline. Work = minimize calls (identical across legs by the counter
-/// discipline); costs must be bit-identical across all three legs, which
-/// is exactly the flat-vs-legacy MV identity the property suite proves on
-/// random covers, re-proven here on the bench corpus.
-fn run_mv_ab(inst: &Instance) -> Result<AbReport, String> {
-    const MV_PASSES: usize = 4;
-    const AB_REPS: usize = 3;
-    let (on, dc) = mv_cover(inst);
-    let mut legs = Vec::new();
-    for (engine, cache_on, engine_name) in EVAL_LEGS {
-        let mut best: Option<AbLeg> = None;
-        for _ in 0..AB_REPS {
-            let trace = Trace::new();
-            let memo = GlobalMinimizeCache::new();
-            let mut cache = MinimizeCache::new();
-            let mut cost = 0usize;
-            let t = Instant::now();
-            {
-                let span = trace.recorder().span("mv-ab");
-                let _cur = obs::enter(span.recorder());
-                for _ in 0..MV_PASSES {
-                    cost += if cache_on {
-                        cache.minimized_cube_count(&memo, &on, &dc, engine)
-                    } else {
-                        cache.minimized_cube_count_uncached(&on, &dc, engine)
-                    };
-                }
-            }
-            let wall_ns = t.elapsed().as_nanos() as u64;
-            let work = trace.counter_total(Counter::MinimizeCalls);
-            let leg = AbLeg {
-                engine: engine_name,
-                cache: cache_on,
-                wall_ns,
-                work,
-                cache_hits: cache.hits(),
-                cache_misses: cache.misses(),
-                cost,
-            };
-            if let Some(prev) = &best {
-                if (prev.work, prev.cost) != (leg.work, leg.cost) {
-                    return Err(format!(
-                        "{}: mv {engine_name}/cache={cache_on}: nondeterministic leg \
-                         (work {} vs {}, cost {} vs {})",
-                        inst.name, prev.work, leg.work, prev.cost, leg.cost
-                    ));
-                }
-            }
-            if best.as_ref().is_none_or(|p| leg.wall_ns < p.wall_ns) {
-                best = Some(leg);
-            }
-        }
-        legs.push(best.ok_or("mv A/B: no repetitions ran")?);
-    }
-    let matches = legs.iter().all(|l| l.cost == legs[0].cost && l.work == legs[0].work);
-    let speedup_per_work = per_work_speedup(&legs);
-    Ok(AbReport {
-        legs,
-        matches,
-        speedup_per_work,
-    })
-}
-
 /// One leg of the streaming-store A/B.
 struct StreamLeg {
     name: &'static str,
@@ -805,107 +533,6 @@ fn write_records_artifact(ab: &StreamAb, opts: &Options) -> Result<String, Strin
     Ok(path)
 }
 
-/// One refine engine A/B leg: a full PICOLA run with the given engine and
-/// thread count, attributing the refine span's wall time and work.
-struct RefineRun {
-    engine: &'static str,
-    threads: usize,
-    total_wall: Duration,
-    refine_wall_ns: u64,
-    refine_work: u64,
-}
-
-struct RefineReport {
-    runs: Vec<RefineRun>,
-    /// Incremental and naive engines produced bit-identical encodings (at
-    /// every thread count).
-    engines_match: bool,
-    /// Each engine produced bit-identical encodings at 1 and N threads.
-    parallel_matches: bool,
-    /// Naive wall-per-work divided by incremental wall-per-work on the
-    /// single-thread legs — the kernel speedup, ≥ 1 when incremental wins.
-    speedup_per_work: f64,
-}
-
-/// Sum `(wall_ns, work)` over all `refine` spans in the snapshot tree.
-fn refine_span_totals(snap: &SpanSnapshot) -> (u64, u64) {
-    if snap.name == "refine" {
-        return (snap.wall_ns.unwrap_or(0), snap.total_work());
-    }
-    snap.children.iter().fold((0, 0), |(wall, work), c| {
-        let (w, k) = refine_span_totals(c);
-        (wall + w, work + k)
-    })
-}
-
-fn run_refine_ab(inst: &Instance, opts: &Options) -> Result<RefineReport, String> {
-    let engines = [
-        (RefineEngine::Incremental, "incremental"),
-        (RefineEngine::Naive, "naive"),
-    ];
-    let thread_counts = [1usize, opts.threads.max(2)];
-    // Best-of-`REFINE_REPS` wall time per leg: the minimum is the standard
-    // noise-robust estimator, and the deterministic work counter is
-    // asserted identical across repetitions.
-    const REFINE_REPS: usize = 3;
-    let mut runs = Vec::new();
-    let mut encodings = Vec::new();
-    for (engine, engine_name) in engines {
-        for threads in thread_counts {
-            let mut best: Option<RefineRun> = None;
-            let mut encoding = None;
-            for _ in 0..REFINE_REPS {
-                let trace = Trace::with_wall_clock();
-                let budget = Budget::unlimited().with_recorder(trace.recorder());
-                let popts = PicolaOptions {
-                    nv_override: inst.nv_override,
-                    threads,
-                    engine,
-                    ..PicolaOptions::default()
-                };
-                let t = Instant::now();
-                let result =
-                    try_picola_encode_with(inst.n, &inst.constraints, &popts, &budget)
-                        .map_err(|e| format!("{}: {engine_name}/t{threads}: {e}", inst.name))?;
-                let total_wall = t.elapsed();
-                let (refine_wall_ns, refine_work) = refine_span_totals(&trace.snapshot());
-                if let Some(prev) = &best {
-                    if prev.refine_work != refine_work {
-                        return Err(format!(
-                            "{}: {engine_name}/t{threads}: nondeterministic refine work \
-                             ({} vs {})",
-                            inst.name, prev.refine_work, refine_work
-                        ));
-                    }
-                }
-                if best.as_ref().is_none_or(|p| refine_wall_ns < p.refine_wall_ns) {
-                    best = Some(RefineRun {
-                        engine: engine_name,
-                        threads,
-                        total_wall,
-                        refine_wall_ns,
-                        refine_work,
-                    });
-                }
-                encoding.get_or_insert(result.encoding);
-            }
-            runs.push(best.ok_or("refine A/B: no repetitions ran")?);
-            encodings.push(encoding.ok_or("refine A/B: no encoding produced")?);
-        }
-    }
-    // Index layout: [inc/t1, inc/tN, naive/t1, naive/tN].
-    let engines_match = encodings[0] == encodings[2] && encodings[1] == encodings[3];
-    let parallel_matches = encodings[0] == encodings[1] && encodings[2] == encodings[3];
-    let per_work = |r: &RefineRun| r.refine_wall_ns as f64 / r.refine_work.max(1) as f64;
-    let speedup_per_work = per_work(&runs[2]) / per_work(&runs[0]).max(1e-9);
-    Ok(RefineReport {
-        runs,
-        engines_match,
-        parallel_matches,
-        speedup_per_work,
-    })
-}
-
 fn run_instance(inst: Instance, opts: &Options) -> Result<InstanceReport, String> {
     let nontrivial = inst.constraints.iter().filter(|c| !c.is_trivial()).count();
 
@@ -951,20 +578,12 @@ fn run_instance(inst: Instance, opts: &Options) -> Result<InstanceReport, String
         _ => return Err(format!("{}: portfolio produced no outcome", inst.name)),
     };
 
-    let refine = run_refine_ab(&inst, opts)?;
-    let eval_ab = run_eval_ab(&inst, &member_encodings)?;
-    let enc_ab = run_enc_ab(&inst)?;
-    let mv_ab = run_mv_ab(&inst)?;
     let serve_ab = run_serve_ab(&inst)?;
     let sat_ab = run_sat_ab(&inst, &encoders, &member_encodings)?;
 
     Ok(InstanceReport {
         nontrivial,
         encoders,
-        refine,
-        eval_ab,
-        enc_ab,
-        mv_ab,
         serve_ab,
         sat_ab,
         metrics: trace.snapshot(),
@@ -986,7 +605,7 @@ fn ms(d: Duration) -> String {
 fn emit(reports: &[InstanceReport], stream: &StreamAb, opts: &Options) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": \"picola-bench/bench_json/v10\",");
+    let _ = writeln!(j, "  \"schema\": \"picola-bench/bench_json/v11\",");
     let _ = writeln!(j, "  \"seed\": {},", opts.seed);
     let _ = writeln!(j, "  \"threads\": {},", opts.threads);
     let _ = writeln!(j, "  \"smoke\": {},", opts.smoke);
@@ -1033,63 +652,6 @@ fn emit(reports: &[InstanceReport], stream: &StreamAb, opts: &Options) -> String
         let _ = writeln!(j, "        \"sequential_wall_ms\": {},", ms(r.seq_wall));
         let _ = writeln!(j, "        \"parallel_wall_ms\": {}", ms(r.par_wall));
         let _ = writeln!(j, "      }},");
-        let _ = writeln!(j, "      \"refine\": {{");
-        let _ = writeln!(j, "        \"runs\": [");
-        for (ki, run) in r.refine.runs.iter().enumerate() {
-            let _ = write!(
-                j,
-                "          {{\"engine\": \"{}\", \"threads\": {}, \
-                 \"total_wall_ms\": {}, \"refine_wall_ms\": {:.3}, \
-                 \"refine_work\": {}}}",
-                run.engine,
-                run.threads,
-                ms(run.total_wall),
-                run.refine_wall_ns as f64 / 1e6,
-                run.refine_work
-            );
-            let _ = writeln!(j, "{}", if ki + 1 < r.refine.runs.len() { "," } else { "" });
-        }
-        let _ = writeln!(j, "        ],");
-        let _ = writeln!(j, "        \"engines_match\": {},", r.refine.engines_match);
-        let _ = writeln!(
-            j,
-            "        \"parallel_matches_sequential\": {},",
-            r.refine.parallel_matches
-        );
-        let _ = writeln!(
-            j,
-            "        \"speedup_per_work\": {:.3}",
-            r.refine.speedup_per_work
-        );
-        let _ = writeln!(j, "      }},");
-        for (label, ab) in [
-            ("eval_ab", &r.eval_ab),
-            ("enc_ab", &r.enc_ab),
-            ("mv_ab", &r.mv_ab),
-        ] {
-            let _ = writeln!(j, "      \"{label}\": {{");
-            let _ = writeln!(j, "        \"legs\": [");
-            for (li, leg) in ab.legs.iter().enumerate() {
-                let _ = write!(
-                    j,
-                    "          {{\"engine\": \"{}\", \"cache\": {}, \
-                     \"wall_ms\": {:.3}, \"work\": {}, \"cache_hits\": {}, \
-                     \"cache_misses\": {}, \"cost\": {}}}",
-                    leg.engine,
-                    leg.cache,
-                    leg.wall_ns as f64 / 1e6,
-                    leg.work,
-                    leg.cache_hits,
-                    leg.cache_misses,
-                    leg.cost
-                );
-                let _ = writeln!(j, "{}", if li + 1 < ab.legs.len() { "," } else { "" });
-            }
-            let _ = writeln!(j, "        ],");
-            let _ = writeln!(j, "        \"matches\": {},", ab.matches);
-            let _ = writeln!(j, "        \"speedup_per_work\": {:.3}", ab.speedup_per_work);
-            let _ = writeln!(j, "      }},");
-        }
         let s = &r.serve_ab;
         let _ = writeln!(j, "      \"serve_ab\": {{");
         let _ = writeln!(j, "        \"cold_wall_ms\": {:.3},", s.cold_wall_ns as f64 / 1e6);
@@ -1201,112 +763,6 @@ fn emit(reports: &[InstanceReport], stream: &StreamAb, opts: &Options) -> String
     );
     let mismatches = reports.iter().filter(|r| !r.parallel_matches).count();
     let _ = writeln!(j, "    \"parallel_mismatches\": {mismatches},");
-    // Refine engine A/B over the whole corpus: single-thread legs only, so
-    // the ratio compares the evaluation kernels rather than scheduling.
-    let leg = |engine: &str| {
-        let mut wall_ns = 0u64;
-        let mut work = 0u64;
-        for r in reports {
-            for run in &r.refine.runs {
-                if run.engine == engine && run.threads == 1 {
-                    wall_ns += run.refine_wall_ns;
-                    work += run.refine_work;
-                }
-            }
-        }
-        (wall_ns as f64 / 1e6, work)
-    };
-    let (inc_ms, inc_work) = leg("incremental");
-    let (naive_ms, naive_work) = leg("naive");
-    let inc_per = inc_ms / inc_work.max(1) as f64;
-    let naive_per = naive_ms / naive_work.max(1) as f64;
-    let _ = writeln!(j, "    \"refine\": {{");
-    let _ = writeln!(j, "      \"incremental_wall_ms\": {inc_ms:.3},");
-    let _ = writeln!(j, "      \"incremental_work\": {inc_work},");
-    let _ = writeln!(j, "      \"naive_wall_ms\": {naive_ms:.3},");
-    let _ = writeln!(j, "      \"naive_work\": {naive_work},");
-    let _ = writeln!(
-        j,
-        "      \"speedup_per_work\": {:.3},",
-        naive_per / inc_per.max(1e-12)
-    );
-    let engine_mismatches = reports.iter().filter(|r| !r.refine.engines_match).count();
-    let thread_mismatches = reports
-        .iter()
-        .filter(|r| !r.refine.parallel_matches)
-        .count();
-    let _ = writeln!(j, "      \"engine_mismatches\": {engine_mismatches},");
-    let _ = writeln!(j, "      \"thread_mismatches\": {thread_mismatches}");
-    let _ = writeln!(j, "    }},");
-    // Evaluation-pipeline and ENC A/B over the whole corpus: each named leg
-    // aggregated, headline speedup = baseline (legacy, uncached)
-    // wall-per-work over the cached flat leg.
-    for (label, pick) in [
-        ("eval", (|r: &InstanceReport| &r.eval_ab) as fn(&InstanceReport) -> &AbReport),
-        ("enc", |r: &InstanceReport| &r.enc_ab),
-        ("mv", |r: &InstanceReport| &r.mv_ab),
-    ] {
-        let n_legs = reports.first().map_or(0, |r| pick(r).legs.len());
-        let mut sums: Vec<AbLeg> = Vec::new();
-        for li in 0..n_legs {
-            let mut wall_ns = 0u64;
-            let mut work = 0u64;
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            let mut engine = "";
-            let mut cache = false;
-            for r in reports {
-                let leg = &pick(r).legs[li];
-                wall_ns += leg.wall_ns;
-                work += leg.work;
-                hits += leg.cache_hits;
-                misses += leg.cache_misses;
-                engine = leg.engine;
-                cache = leg.cache;
-            }
-            sums.push(AbLeg {
-                engine,
-                cache,
-                wall_ns,
-                work,
-                cache_hits: hits,
-                cache_misses: misses,
-                cost: 0,
-            });
-        }
-        let mismatches = reports.iter().filter(|r| !pick(r).matches).count();
-        let _ = writeln!(j, "    \"{label}\": {{");
-        for leg in &sums {
-            let name = format!(
-                "{}_{}",
-                leg.engine,
-                if leg.cache { "cached" } else { "uncached" }
-            );
-            let _ = writeln!(
-                j,
-                "      \"{name}_wall_ms\": {:.3},",
-                leg.wall_ns as f64 / 1e6
-            );
-            let _ = writeln!(j, "      \"{name}_work\": {},", leg.work);
-        }
-        let _ = writeln!(
-            j,
-            "      \"cache_hits\": {},",
-            sums.first().map_or(0, |l| l.cache_hits)
-        );
-        let _ = writeln!(
-            j,
-            "      \"cache_misses\": {},",
-            sums.first().map_or(0, |l| l.cache_misses)
-        );
-        let _ = writeln!(
-            j,
-            "      \"speedup_per_work\": {:.3},",
-            per_work_speedup(&sums)
-        );
-        let _ = writeln!(j, "      \"mismatches\": {mismatches}");
-        let _ = writeln!(j, "    }},");
-    }
     // Cold-vs-warm shared-cache totals: the headline warmth numbers the
     // hit-rate gate in scripts/check_bench_metrics.py enforces.
     let cold_ms: f64 = reports.iter().map(|r| r.serve_ab.cold_wall_ns as f64 / 1e6).sum();
@@ -1401,16 +857,11 @@ fn main() {
             Ok(r) => {
                 eprintln!(
                     "{name}: winner {} (cost {}), seq {} ms / par {} ms, \
-                     refine speedup {:.2}x, eval {:.2}x, enc {:.2}x, \
-                     mv {:.2}x, serve warm {:.2}x @ {:.0}% hits{}",
+                     serve warm {:.2}x @ {:.0}% hits{}",
                     r.winner,
                     r.winning_cost,
                     ms(r.seq_wall),
                     ms(r.par_wall),
-                    r.refine.speedup_per_work,
-                    r.eval_ab.speedup_per_work,
-                    r.enc_ab.speedup_per_work,
-                    r.mv_ab.speedup_per_work,
                     r.serve_ab.speedup,
                     r.serve_ab.warm_hit_rate * 100.0,
                     if r.sat_ab.skipped {

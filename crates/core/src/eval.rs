@@ -10,9 +10,7 @@
 //! satisfactions.
 
 use picola_constraints::{Encoding, GroupConstraint};
-use picola_logic::{
-    exact_minimize, CoverEngine, Domain, ExactOutcome, GlobalMinimizeCache, MinimizeCache,
-};
+use picola_logic::{exact_minimize, Domain, ExactOutcome, GlobalMinimizeCache, MinimizeCache};
 use std::sync::Arc;
 
 /// How constraint functions are minimized during evaluation.
@@ -34,9 +32,6 @@ pub enum EvalMinimizer {
 pub struct EvalOptions {
     /// Which minimizer prices each constraint function.
     pub minimizer: EvalMinimizer,
-    /// Which cover engine ESPRESSO runs on (flat by default; legacy stays
-    /// selectable as the differential reference and A/B bench leg).
-    pub engine: CoverEngine,
     /// Whether repeat constraint functions are answered from the
     /// [`EvalContext`]'s memo. Off = honest recomputation on every call
     /// (bit-identical results either way).
@@ -47,7 +42,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             minimizer: EvalMinimizer::default(),
-            engine: CoverEngine::default(),
             cache: true,
         }
     }
@@ -279,8 +273,8 @@ pub fn evaluate_encoding_with(
 
 /// The full evaluation entry point: explicit [`EvalOptions`] and a
 /// caller-owned [`EvalContext`] whose memo and scratch survive across
-/// calls. Returns bit-identical results for every (engine, cache) choice;
-/// only the work performed differs.
+/// calls. Returns bit-identical results with the cache on or off; only the
+/// work performed differs.
 pub fn evaluate_encoding_cached(
     enc: &Encoding,
     constraints: &[GroupConstraint],
@@ -300,11 +294,9 @@ pub fn evaluate_encoding_cached(
         let cubes = match opts.minimizer {
             EvalMinimizer::Espresso => {
                 if opts.cache {
-                    ctx.cache
-                        .minimized_cube_count(&ctx.memo, &on, &dc, opts.engine)
+                    ctx.cache.minimized_cube_count(&ctx.memo, &on, &dc)
                 } else {
-                    ctx.cache
-                        .minimized_cube_count_uncached(&on, &dc, opts.engine)
+                    ctx.cache.minimized_cube_count_uncached(&on, &dc)
                 }
             }
             EvalMinimizer::Exact { max_nodes } => match exact_minimize(&on, &dc, max_nodes) {

@@ -68,7 +68,7 @@ pub use picola::{
     try_picola_encode_with, Encoder, PicolaEncoder, PicolaOptions, PicolaResult,
 };
 pub use portfolio::{EncoderPortfolio, MemberOutcome, PortfolioOutcome};
-pub use refine::{CandCursor, CodeTable, RefineCand, RefineEngine, RefineScratch};
+pub use refine::{CandCursor, CodeTable, RefineCand, RefineScratch};
 pub use report::RunReport;
 pub use solve::solve_column;
 pub use store::{
@@ -78,9 +78,7 @@ pub use validity::ValidityTracker;
 
 // Budgeting and fault injection live in picola-logic (the dependency root);
 // re-export them here so encoder-level callers need only picola-core. The
-// cover-engine selector and minimization cache ride along for the same
-// reason.
+// minimization cache rides along for the same reason.
 pub use picola_logic::{
-    chaos, Budget, CacheStats, Completion, CoverEngine, ExhaustReason, GlobalMinimizeCache,
-    MinimizeCache,
+    chaos, Budget, CacheStats, Completion, ExhaustReason, GlobalMinimizeCache, MinimizeCache,
 };

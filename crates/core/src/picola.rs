@@ -4,7 +4,7 @@
 use crate::classify::{update_constraints, ClassifyOutcome};
 use crate::cost::CostModel;
 use crate::error::PicolaError;
-use crate::refine::{CandCursor, CodeTable, RefineCand, RefineEngine, RefineScratch};
+use crate::refine::{CandCursor, CodeTable, RefineCand, RefineScratch};
 use crate::solve::solve_column;
 use crate::validity::ValidityTracker;
 use picola_constraints::{
@@ -38,11 +38,6 @@ pub struct PicolaOptions {
     /// and the first improvement in enumeration order is applied, so the
     /// thread count changes only wall time.
     pub threads: usize,
-    /// Which refine evaluation kernel to run (see [`RefineEngine`]).
-    /// Both produce bit-identical encodings; the default incremental
-    /// engine is faster, the naive one is the differential/bench
-    /// reference.
-    pub engine: RefineEngine,
 }
 
 /// Result of a PICOLA run.
@@ -225,7 +220,7 @@ pub fn try_picola_encode_with(
     };
 
     if !opts.disable_refine {
-        encoding = refine(encoding, constraints, budget, opts.threads, opts.engine);
+        encoding = refine(encoding, constraints, budget, opts.threads);
     }
 
     Ok(PicolaResult {
@@ -246,13 +241,14 @@ const REFINE_CHUNK: usize = 64;
 ///
 /// Candidates are enumerated lazily ([`CandCursor`]) in a fixed order — all
 /// swaps `(i, j)` with `i < j`, then all moves `(i, w)` — and evaluated
-/// read-only against a [`CodeTable`] in chunks of [`REFINE_CHUNK`]; the
-/// first improving candidate in order is applied and enumeration resumes
-/// right after it against the new state. Chunk evaluation runs on
-/// `threads` workers when `threads > 1`, each with its own long-lived
-/// [`RefineScratch`], with **bit-identical** results for any thread count
-/// and either [`RefineEngine`]: the evaluation is pure and the applied
-/// candidate is chosen by enumeration order, never by completion order.
+/// read-only against a [`CodeTable`] in chunks of [`REFINE_CHUNK`]
+/// ([`CodeTable::eval`], the incremental evaluation off the table's cached
+/// lists); the first improving candidate in order is applied and
+/// enumeration resumes right after it against the new state. Chunk
+/// evaluation runs on `threads` workers when `threads > 1`, each with its
+/// own long-lived [`RefineScratch`], with **bit-identical** results for any
+/// thread count: the evaluation is pure and the applied candidate is
+/// chosen by enumeration order, never by completion order.
 ///
 /// Budget-aware: each chunk ticks `"picola.refine"` by the number of
 /// candidates it holds; on exhaustion the current (always valid) encoding
@@ -262,7 +258,6 @@ fn refine(
     constraints: &[GroupConstraint],
     budget: &Budget,
     threads: usize,
-    engine: RefineEngine,
 ) -> Encoding {
     let span = obs::current_or(budget.recorder()).span("refine");
     let _cur = obs::enter(span.recorder());
@@ -313,7 +308,6 @@ fn refine(
             if workers > 1 {
                 let per = chunk.len().div_ceil(workers);
                 let (chunk, table) = (&chunk, &table);
-                let active = &active;
                 rayon::scope(|s| {
                     let mut rest: &mut [i64] = &mut results[..chunk.len()];
                     let mut free_scratch: &mut [RefineScratch] = &mut scratches;
@@ -329,11 +323,7 @@ fn refine(
                         offset += take;
                         s.spawn(move |_| {
                             for (t, out) in slots.iter_mut().enumerate() {
-                                let cand = chunk[start + t].1;
-                                *out = match engine {
-                                    RefineEngine::Incremental => table.eval(cand, scratch),
-                                    RefineEngine::Naive => table.eval_naive(cand, active),
-                                };
+                                *out = table.eval(chunk[start + t].1, scratch);
                             }
                         });
                     }
@@ -341,11 +331,7 @@ fn refine(
             } else {
                 let scratch = &mut scratches[0];
                 for (t, out) in results[..chunk.len()].iter_mut().enumerate() {
-                    let cand = chunk[t].1;
-                    *out = match engine {
-                        RefineEngine::Incremental => table.eval(cand, scratch),
-                        RefineEngine::Naive => table.eval_naive(cand, &active),
-                    };
+                    *out = table.eval(chunk[t].1, scratch);
                 }
             }
 
@@ -353,9 +339,6 @@ fn refine(
             // resume right after it; later results in the chunk are stale
             // against the new state and are discarded.
             obs::count(obs::Counter::RefineEvals, chunk.len() as u64);
-            if engine == RefineEngine::Incremental {
-                obs::count(obs::Counter::RefineScratchReuse, chunk.len() as u64);
-            }
             let mut applied = None;
             for (t, &(resume, cand)) in chunk.iter().enumerate() {
                 if results[t] < 0 {

@@ -4,48 +4,28 @@
 //! The refine hill-climb evaluates thousands of candidate swaps/moves per
 //! pass, and each evaluation needs, per touched constraint, the member
 //! codes and the forbidden (non-member) codes of that constraint under the
-//! candidate code vector. The naive path re-derives both lists from the
-//! full codes slice on every evaluation — an `O(n)` scan and two heap
-//! allocations per (candidate, constraint) pair. This module replaces that
-//! with a [`CodeTable`]: per-constraint member/forbidden code lists kept as
+//! candidate code vector. Re-deriving both lists from the full codes slice
+//! on every evaluation costs an `O(n)` scan and two heap allocations per
+//! (candidate, constraint) pair. This module avoids that with a
+//! [`CodeTable`]: per-constraint member/forbidden code lists kept as
 //! flat arrays in **ascending symbol order**, a per-symbol slot map into
 //! those lists, the cached supercube, and the cached greedy cube count.
 //! Evaluating a candidate patches at most two entries of a scratch copy of
 //! the cached lists (`O(moved symbols)` setup instead of `O(n)`), and
 //! applying an accepted candidate updates the table in place — no rescans,
-//! no allocation.
+//! no allocation. Satisfied faces short-circuit through the
+//! cached-supercube fast path (see [`CodeTable::eval`]).
 //!
-//! Two engine variants share the table so benches can race them:
-//!
-//! - [`RefineEngine::Incremental`] (default) evaluates off the cached
-//!   lists and short-circuits satisfied faces through the cached-supercube
-//!   fast path (see [`CodeTable::eval`]).
-//! - [`RefineEngine::Naive`] re-derives the lists from the candidate codes
-//!   exactly like the pre-table engine did, per-candidate allocations
-//!   included — the reference both for the property suite and for honest
-//!   before/after bench numbers.
-//!
-//! Both produce **bit-identical** results: the greedy cover count depends
-//! only on the order of the uncovered member codes, and the cached lists
-//! preserve ascending symbol order under in-place patching.
+//! Every evaluation equals a full from-scratch recompute of the touched
+//! constraints' greedy cube counts (the property suite diffs the two): the
+//! greedy cover count depends only on the order of the uncovered member
+//! codes, and the cached lists preserve ascending symbol order under
+//! in-place patching.
 
 use crate::eval::{greedy_cover_count, CubesScratch};
 use picola_constraints::{CodeCube, GroupConstraint};
 use picola_logic::simd::{self, Mask1, Mask2, MaskKernel, MaskN};
 use picola_logic::WordSet;
-
-/// Which evaluation kernel the refinement pass uses. Both kernels return
-/// identical results; they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefineEngine {
-    /// Cached incremental [`CodeTable`] evaluation (the default).
-    #[default]
-    Incremental,
-    /// From-scratch list derivation per evaluation — the pre-table
-    /// reference engine, kept selectable for differential tests and
-    /// before/after benchmarks.
-    Naive,
-}
 
 /// A refinement candidate: swap two symbols' codes, or move one symbol to
 /// a (currently free) code word.
@@ -633,51 +613,6 @@ impl CodeTable {
         delta
     }
 
-    /// Cost delta of applying `cand`, evaluated the pre-table way: allocate
-    /// the full candidate code vector and re-derive each touched
-    /// constraint's lists from it with the allocating greedy — a faithful
-    /// reproduction of the engine this table replaced, per-candidate heap
-    /// traffic included, so the bench A/B measures the real before/after.
-    /// The one deliberate deviation is the touched filter, which both
-    /// engines now share in its corrected form (a moved forbidden code
-    /// staying *inside* a supercube can still change that constraint's
-    /// cover — the old `contains(old) != contains(new)` test missed it).
-    /// Identical results to [`CodeTable::eval`] (the property suite diffs
-    /// the two).
-    #[must_use]
-    pub fn eval_naive(&self, cand: RefineCand, active: &[&GroupConstraint]) -> i64 {
-        use crate::eval::greedy_codes_cubes;
-
-        let mut buf = [(0usize, 0u32, 0u32); 2];
-        let m = moved_entries(cand, &self.codes, &mut buf);
-        let moved = &buf[..m];
-        let mut touched = WordSet::new(self.caches.len());
-        for &(s, _, _) in moved {
-            touched.union_with(&self.membership[s]);
-        }
-        if let [(_, old, new)] = *moved {
-            for (k, cache) in self.caches.iter().enumerate() {
-                if cache.supercube.contains(old) || cache.supercube.contains(new) {
-                    touched.insert(k);
-                }
-            }
-        }
-        if touched.is_empty() {
-            return 0;
-        }
-        let mut new_codes = self.codes.to_vec();
-        match cand {
-            RefineCand::Swap(i, j) => new_codes.swap(i, j),
-            RefineCand::Move(i, w) => new_codes[i] = w,
-        }
-        let mut delta = 0i64;
-        for k in touched.iter_ones() {
-            let count = greedy_codes_cubes(&new_codes, active[k].members());
-            delta += count as i64 - self.caches[k].cost as i64;
-        }
-        delta
-    }
-
     /// Applies `cand` to the table: the code vector, the occupancy bitset,
     /// and every constraint's slot-mapped list entries are patched in
     /// `O(moved symbols · constraints)` word work; supercube and cost are
@@ -803,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_matches_naive_and_full_recompute() {
+    fn eval_matches_full_recompute() {
         let cs = groups(7, &[&[0, 1, 2], &[2, 3], &[4, 5, 6], &[0, 6]]);
         let active: Vec<&GroupConstraint> = cs.iter().collect();
         let codes: Vec<u32> = vec![0, 1, 2, 3, 4, 5, 6];
@@ -830,7 +765,6 @@ mod tests {
             }
             let expect = full(&new_codes) - base;
             assert_eq!(table.eval(cand, &mut scratch), expect, "{cand:?}");
-            assert_eq!(table.eval_naive(cand, &active), expect, "naive {cand:?}");
         }
     }
 

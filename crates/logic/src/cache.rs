@@ -1,6 +1,5 @@
-//! Memoized minimization: the [`GlobalMinimizeCache`] memo, the
-//! per-caller [`MinimizeCache`] view over it, and the [`CoverEngine`]
-//! selector.
+//! Memoized minimization: the [`GlobalMinimizeCache`] memo and the
+//! per-caller [`MinimizeCache`] view over it.
 //!
 //! The evaluation pipeline prices an encoding by minimizing the encoded
 //! constraint functions, and search loops (ENC-style probes, portfolio
@@ -10,8 +9,8 @@
 //! counts* keyed by that exact sequence, so repeat functions cost one hash
 //! lookup instead of a full ESPRESSO run.
 //!
-//! Determinism: the key is the exact call — engine tag, domain shape, and
-//! the on/dc cube sequences verbatim. ESPRESSO's result is order-sensitive
+//! Determinism: the key is the exact call — domain shape and the on/dc
+//! cube sequences verbatim. ESPRESSO's result is order-sensitive
 //! (stable sorts, first-cube-wins expansion), so reordered covers are
 //! deliberately keyed apart: aliasing them would let a hit return a count
 //! an uncached run would not. Because ESPRESSO is deterministic on a given
@@ -34,41 +33,13 @@
 //! the minimizer is never entered, so no `espresso.iter` ticks fire and
 //! traced work totals stay conserved.
 
-use crate::budget::Budget;
 use crate::chaos;
 use crate::cover::Cover;
-use crate::espresso::{espresso_bounded, MinimizeOptions};
 use crate::flat::{flat_minimized_len, MinimizeScratch};
 use crate::obs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Which cover engine a minimization request should run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoverEngine {
-    /// The flat engine ([`crate::flat_espresso_bounded`]), which handles
-    /// **every** domain — single- and multi-word, binary and multi-valued —
-    /// with no fallback. Bit-identical to `Legacy`; this is the only
-    /// production engine.
-    #[default]
-    Flat,
-    /// The legacy `Vec<Cube>` driver ([`crate::espresso_bounded`]) — kept
-    /// selectable purely as the independent test oracle for the
-    /// differential/property suites and the honest A/B bench legs. Release
-    /// paths never choose it.
-    Legacy,
-}
-
-impl CoverEngine {
-    /// Stable short name (bench/report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            CoverEngine::Flat => "flat",
-            CoverEngine::Legacy => "legacy",
-        }
-    }
-}
 
 /// Default maximum number of memoized entries.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
@@ -102,8 +73,9 @@ impl MinimizeCache {
         self.misses
     }
 
-    /// Minimized cube count of `(on, dc)` under `engine`, answered through
-    /// `memo`.
+    /// Minimized cube count of `(on, dc)` on the flat engine
+    /// ([`crate::flat_espresso_bounded`] with default options), answered
+    /// through `memo`.
     ///
     /// Bumps `MinimizeCalls` plus exactly one of `MinimizeCacheHit` /
     /// `MinimizeCacheMiss`, and a hit performs zero budget work. Chaos
@@ -115,18 +87,17 @@ impl MinimizeCache {
         memo: &GlobalMinimizeCache,
         on: &Cover,
         dc: &Cover,
-        engine: CoverEngine,
     ) -> usize {
         obs::count(obs::Counter::MinimizeCalls, 1);
         memo.calls.fetch_add(1, Ordering::Relaxed);
-        self.build_key(on, dc, engine);
+        self.build_key(on, dc);
         if chaos::should_fire("cache.shard") {
             // Shard poisoned: degrade to a miss without touching the map.
             memo.poison_bypasses.fetch_add(1, Ordering::Relaxed);
             self.misses += 1;
             memo.misses.fetch_add(1, Ordering::Relaxed);
             obs::count(obs::Counter::MinimizeCacheMiss, 1);
-            return self.run(on, dc, engine);
+            return self.run(on, dc);
         }
         if let Some(n) = memo.lookup(&self.key) {
             self.hits += 1;
@@ -137,45 +108,35 @@ impl MinimizeCache {
         self.misses += 1;
         memo.misses.fetch_add(1, Ordering::Relaxed);
         obs::count(obs::Counter::MinimizeCacheMiss, 1);
-        let n = self.run(on, dc, engine);
+        let n = self.run(on, dc);
         memo.insert(&self.key, n);
         n
     }
 
     /// [`MinimizeCache::minimized_cube_count`] without consulting or
-    /// populating any memo — the reference leg of differential tests and
-    /// A/B comparisons, with the same counter discipline (every call is a
-    /// miss).
-    pub fn minimized_cube_count_uncached(
-        &mut self,
-        on: &Cover,
-        dc: &Cover,
-        engine: CoverEngine,
-    ) -> usize {
+    /// populating any memo — the reference leg of the cache tests, with the
+    /// same counter discipline (every call is a miss).
+    pub fn minimized_cube_count_uncached(&mut self, on: &Cover, dc: &Cover) -> usize {
         obs::count(obs::Counter::MinimizeCalls, 1);
         self.misses += 1;
         obs::count(obs::Counter::MinimizeCacheMiss, 1);
-        self.run(on, dc, engine)
+        self.run(on, dc)
     }
 
-    fn run(&mut self, on: &Cover, dc: &Cover, engine: CoverEngine) -> usize {
-        minimize_count(on, dc, engine, &mut self.scratch)
+    fn run(&mut self, on: &Cover, dc: &Cover) -> usize {
+        flat_minimized_len(on, dc, &mut self.scratch)
     }
 
-    /// Exact signature of `(engine, domain shape, on, dc)` into `self.key`:
-    /// engine tag, variable count, per-variable part counts, on-set length,
-    /// then the on and dc cube words in the caller's order. The minimizer's
-    /// result depends on cube order (stable sorts, first-cube-wins
-    /// expansion), so reordered covers must *not* share a key — a hit would
-    /// otherwise return a count the uncached run disagrees with.
-    fn build_key(&mut self, on: &Cover, dc: &Cover, engine: CoverEngine) {
+    /// Exact signature of `(domain shape, on, dc)` into `self.key`:
+    /// variable count, per-variable part counts, on-set length, then the on
+    /// and dc cube words in the caller's order. The minimizer's result
+    /// depends on cube order (stable sorts, first-cube-wins expansion), so
+    /// reordered covers must *not* share a key — a hit would otherwise
+    /// return a count the uncached run disagrees with.
+    fn build_key(&mut self, on: &Cover, dc: &Cover) {
         let dom = on.domain();
         let key = &mut self.key;
         key.clear();
-        key.push(match engine {
-            CoverEngine::Flat => 0,
-            CoverEngine::Legacy => 1,
-        });
         key.push(dom.num_vars() as u64);
         for v in 0..dom.num_vars() {
             key.push(dom.var(v).parts() as u64);
@@ -243,8 +204,8 @@ struct Shard {
 /// A concurrent, sharded, capacity-bounded memo of minimized cube counts —
 /// the one memo type. A single run owns a fresh one; a long-running server
 /// shares one across requests. Callers look up through a
-/// [`MinimizeCache`] view, which builds the exact engine + domain +
-/// cube-sequence key (see the module docs). The memo is:
+/// [`MinimizeCache`] view, which builds the exact domain + cube-sequence
+/// key (see the module docs). The memo is:
 ///
 /// * **Sharded** — keys are distributed over lock-striped shards by a
 ///   64-bit FNV-1a hash of the signature words, so concurrent workers
@@ -404,32 +365,13 @@ impl GlobalMinimizeCache {
     }
 }
 
-/// One uncached, uncounted minimization of `(on, dc)` under `engine`,
-/// drawing buffers from `scratch` — the shared kernel behind the memo's
-/// miss path and the one-shot [`crate::minimized_cube_count`] wrapper.
-pub(crate) fn minimize_count(
-    on: &Cover,
-    dc: &Cover,
-    engine: CoverEngine,
-    scratch: &mut MinimizeScratch,
-) -> usize {
-    match engine {
-        CoverEngine::Flat => flat_minimized_len(on, dc, scratch),
-        CoverEngine::Legacy => {
-            espresso_bounded(on, dc, &MinimizeOptions::default(), &Budget::unlimited())
-                .0
-                .len()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cover::Cover;
     use crate::cube::Cube;
     use crate::domain::Domain;
-    use crate::espresso::espresso;
+    use crate::flat::flat_espresso;
 
     fn cover_from_codes(dom: &Domain, nv: usize, codes: &[u32]) -> Cover {
         let mut c = Cover::empty(dom);
@@ -445,8 +387,8 @@ mod tests {
 
     /// A fresh view's uncached answer — the reference every memoized
     /// answer must equal.
-    fn fresh(on: &Cover, dc: &Cover, engine: CoverEngine) -> usize {
-        MinimizeCache::new().minimized_cube_count_uncached(on, dc, engine)
+    fn fresh(on: &Cover, dc: &Cover) -> usize {
+        MinimizeCache::new().minimized_cube_count_uncached(on, dc)
     }
 
     #[test]
@@ -454,14 +396,12 @@ mod tests {
         let dom = Domain::binary(3);
         let on = cover_from_codes(&dom, 3, &[0, 1, 2, 3]);
         let dc = Cover::empty(&dom);
-        let expected = espresso(&on, &dc).len();
+        let expected = flat_espresso(&on, &dc).len();
         let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        for engine in [CoverEngine::Flat, CoverEngine::Legacy] {
-            assert_eq!(
-                cache.minimized_cube_count(&memo, &on, &dc, engine),
-                expected
-            );
+        // the miss runs the minimizer, the repeat is answered by the memo
+        for _ in 0..2 {
+            assert_eq!(cache.minimized_cube_count(&memo, &on, &dc), expected);
         }
     }
 
@@ -472,8 +412,8 @@ mod tests {
         let dc = cover_from_codes(&dom, 3, &[1]);
         let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let a = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
-        let b = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
+        let a = cache.minimized_cube_count(&memo, &on, &dc);
+        let b = cache.minimized_cube_count(&memo, &on, &dc);
         assert_eq!(a, b);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
@@ -488,17 +428,11 @@ mod tests {
         let dc = Cover::empty(&dom);
         let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let a = cache.minimized_cube_count(&memo, &on_a, &dc, CoverEngine::Flat);
-        let b = cache.minimized_cube_count(&memo, &on_b, &dc, CoverEngine::Flat);
+        let a = cache.minimized_cube_count(&memo, &on_a, &dc);
+        let b = cache.minimized_cube_count(&memo, &on_b, &dc);
         // each order computes its own entry; repeating either order hits it
-        assert_eq!(
-            cache.minimized_cube_count(&memo, &on_a, &dc, CoverEngine::Flat),
-            a
-        );
-        assert_eq!(
-            cache.minimized_cube_count(&memo, &on_b, &dc, CoverEngine::Flat),
-            b
-        );
+        assert_eq!(cache.minimized_cube_count(&memo, &on_a, &dc), a);
+        assert_eq!(cache.minimized_cube_count(&memo, &on_b, &dc), b);
         assert_eq!(memo.len(), 2);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 2);
@@ -520,13 +454,11 @@ mod tests {
         let mut cache = MinimizeCache::new();
         for order in [&codes[..], &reversed[..]] {
             let on = cover_from_codes(&dom, 3, order);
-            for engine in [CoverEngine::Flat, CoverEngine::Legacy] {
-                let fresh = fresh(&on, &dc, engine);
-                // first lookup (a miss) and second lookup (a hit) must both
-                // agree with the uncached run
-                assert_eq!(cache.minimized_cube_count(&memo, &on, &dc, engine), fresh);
-                assert_eq!(cache.minimized_cube_count(&memo, &on, &dc, engine), fresh);
-            }
+            let fresh = fresh(&on, &dc);
+            // first lookup (a miss) and second lookup (a hit) must both
+            // agree with the uncached run
+            assert_eq!(cache.minimized_cube_count(&memo, &on, &dc), fresh);
+            assert_eq!(cache.minimized_cube_count(&memo, &on, &dc), fresh);
         }
     }
 
@@ -538,13 +470,13 @@ mod tests {
         let global = GlobalMinimizeCache::new();
         let mut run_a = MinimizeCache::new();
         let mut run_b = MinimizeCache::new();
-        let a = run_a.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
+        let a = run_a.minimized_cube_count(&global, &on, &dc);
         // a *different* per-run view sees the shared entry
-        let b = run_b.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
+        let b = run_b.minimized_cube_count(&global, &on, &dc);
         assert_eq!(a, b);
         assert_eq!(
             a,
-            fresh(&on, &dc, CoverEngine::Flat),
+            fresh(&on, &dc),
             "shared hits stay bit-identical to uncached"
         );
         let stats = global.stats();
@@ -564,12 +496,12 @@ mod tests {
         let global = GlobalMinimizeCache::with_capacity_and_shards(2, 1);
         let mut cache = MinimizeCache::new();
         let hot = cover_from_codes(&dom, 4, &[0, 3]);
-        let _ = cache.minimized_cube_count(&global, &hot, &dc, CoverEngine::Flat);
+        let _ = cache.minimized_cube_count(&global, &hot, &dc);
         for i in 1..8u32 {
             let cold = cover_from_codes(&dom, 4, &[i]);
-            let _ = cache.minimized_cube_count(&global, &cold, &dc, CoverEngine::Flat);
+            let _ = cache.minimized_cube_count(&global, &cold, &dc);
             // touching the hot cover promotes it out of the retiring generation
-            let _ = cache.minimized_cube_count(&global, &hot, &dc, CoverEngine::Flat);
+            let _ = cache.minimized_cube_count(&global, &hot, &dc);
         }
         let stats = global.stats();
         assert!(stats.epoch_advances > 0, "evictions actually happened");
@@ -592,10 +524,10 @@ mod tests {
         let dc = Cover::empty(&dom);
         let global = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let clean = cache.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
+        let clean = cache.minimized_cube_count(&global, &on, &dc);
         let poisoned = {
             let _guard = chaos::arm("cache.shard", 0);
-            cache.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat)
+            cache.minimized_cube_count(&global, &on, &dc)
         };
         assert_eq!(poisoned, clean, "poisoned shard changes work, not results");
         let stats = global.stats();
@@ -606,7 +538,7 @@ mod tests {
             "bypass still counted as a miss"
         );
         // disarmed again: the entry (inserted by the clean miss) hits
-        let after = cache.minimized_cube_count(&global, &on, &dc, CoverEngine::Flat);
+        let after = cache.minimized_cube_count(&global, &on, &dc);
         assert_eq!(after, clean);
         assert_eq!(global.stats().hits, 1);
     }
@@ -627,12 +559,7 @@ mod tests {
                     for i in 0..8u32 {
                         // every thread prices the same 8 covers
                         let on = cover_from_codes(&dom, 4, &[i, (i + t) % 8]);
-                        counts.push(cache.minimized_cube_count(
-                            &global,
-                            &on,
-                            &dc,
-                            CoverEngine::Flat,
-                        ));
+                        counts.push(cache.minimized_cube_count(&global, &on, &dc));
                     }
                     counts
                 })
@@ -647,7 +574,7 @@ mod tests {
             let dc = Cover::empty(&dom);
             for (i, &n) in counts.iter().enumerate() {
                 let on = cover_from_codes(&dom, 4, &[i as u32, (i as u32 + t as u32) % 8]);
-                assert_eq!(n, fresh(&on, &dc, CoverEngine::Flat));
+                assert_eq!(n, fresh(&on, &dc));
             }
         }
         let stats = global.stats();
@@ -660,8 +587,8 @@ mod tests {
         let on = cover_from_codes(&dom, 2, &[0, 1]);
         let dc = Cover::empty(&dom);
         let mut cache = MinimizeCache::new();
-        let a = cache.minimized_cube_count_uncached(&on, &dc, CoverEngine::Flat);
-        let b = cache.minimized_cube_count_uncached(&on, &dc, CoverEngine::Flat);
+        let a = cache.minimized_cube_count_uncached(&on, &dc);
+        let b = cache.minimized_cube_count_uncached(&on, &dc);
         assert_eq!(a, b);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
@@ -700,8 +627,8 @@ mod tests {
 
         let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let c1 = cache.minimized_cube_count(&memo, &on1, &dc1, CoverEngine::Flat);
-        let c2 = cache.minimized_cube_count(&memo, &on2, &dc2, CoverEngine::Flat);
+        let c1 = cache.minimized_cube_count(&memo, &on1, &dc1);
+        let c2 = cache.minimized_cube_count(&memo, &on2, &dc2);
         assert_eq!(c1, 2, "binary cover: 00 and 11 cannot merge");
         assert_eq!(c2, 1, "4-valued cover: {{0,2}} ∪ {{1,3}} is the universe");
         assert_eq!(cache.hits(), 0, "cross-domain lookup must not hit");
@@ -713,14 +640,8 @@ mod tests {
             "cross-domain lookup must not hit a shard"
         );
         // repeat lookups now hit, each within its own domain's entry
-        assert_eq!(
-            cache.minimized_cube_count(&memo, &on1, &dc1, CoverEngine::Flat),
-            2
-        );
-        assert_eq!(
-            cache.minimized_cube_count(&memo, &on2, &dc2, CoverEngine::Flat),
-            1
-        );
+        assert_eq!(cache.minimized_cube_count(&memo, &on1, &dc1), 2);
+        assert_eq!(cache.minimized_cube_count(&memo, &on2, &dc2), 1);
         assert_eq!(cache.hits(), 2);
     }
 
@@ -750,32 +671,11 @@ mod tests {
 
         let memo = GlobalMinimizeCache::new();
         let mut cache = MinimizeCache::new();
-        let c1 = cache.minimized_cube_count(&memo, &on1, &dc1, CoverEngine::Flat);
-        let c2 = cache.minimized_cube_count(&memo, &on2, &dc2, CoverEngine::Flat);
+        let c1 = cache.minimized_cube_count(&memo, &on1, &dc1);
+        let c2 = cache.minimized_cube_count(&memo, &on2, &dc2);
         assert_eq!(cache.hits(), 0, "swapped strides must not share an entry");
         assert_eq!(cache.misses(), 2);
-        assert_eq!(c1, fresh(&on1, &dc1, CoverEngine::Flat));
-        assert_eq!(c2, fresh(&on2, &dc2, CoverEngine::Flat));
-    }
-
-    #[test]
-    fn engines_agree_on_multi_word_domains() {
-        // 33 binary vars: two words, handled by the flat multi-word engine
-        // (no fallback — the legacy leg below is the independent oracle).
-        let dom = Domain::binary(33);
-        let mut on = Cover::empty(&dom);
-        let mut c0 = Cube::full(&dom);
-        c0.restrict_binary(&dom, 0, false);
-        let mut c1 = Cube::full(&dom);
-        c1.restrict_binary(&dom, 0, true);
-        on.push(c0);
-        on.push(c1);
-        let dc = Cover::empty(&dom);
-        let memo = GlobalMinimizeCache::new();
-        let mut cache = MinimizeCache::new();
-        let f = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
-        let l = cache.minimized_cube_count(&memo, &on, &dc, CoverEngine::Legacy);
-        assert_eq!(f, l);
-        assert_eq!(f, 1);
+        assert_eq!(c1, fresh(&on1, &dc1));
+        assert_eq!(c2, fresh(&on2, &dc2));
     }
 }

@@ -4,7 +4,7 @@
 //! problem over the on-set minterms by branch and bound. Exponential: use
 //! only on functions with a small input space (the PICOLA constraint
 //! functions, with `nv ≤ 8` code bits, qualify). Serves as a quality oracle
-//! for the heuristic [`crate::espresso()`] in tests and ablations.
+//! for the heuristic [`crate::flat_espresso`] in tests and ablations.
 //!
 //! Both phases are budget-bounded: prime generation ticks `"exact.primes"`
 //! per consensus pair and the covering search ticks `"exact.node"` per
@@ -226,7 +226,7 @@ mod tests {
     use super::*;
     use crate::domain::Domain;
     use crate::equiv::implements;
-    use crate::espresso::espresso;
+    use crate::flat::flat_espresso;
 
     #[test]
     fn exact_matches_known_minimum() {
@@ -249,7 +249,7 @@ mod tests {
             let on = Cover::parse(&dom, text);
             let dc = Cover::empty(&dom);
             let exact = exact_minimize(&on, &dc, 1_000_000);
-            let heur = espresso(&on, &dc);
+            let heur = flat_espresso(&on, &dc);
             assert!(
                 exact.cover().len() <= heur.len(),
                 "exact {} > espresso {} on {text}",

@@ -1,9 +1,10 @@
-//! Flat cover kernels and the flat ESPRESSO engine.
+//! Flat cover kernels and the flat ESPRESSO engine — the library's one
+//! minimizer.
 //!
-//! The legacy pipeline represents a cover as `Vec<Cube>` with every cube
-//! owning its own `Vec<u64>`; each ESPRESSO pass then clones, sorts, and
-//! rebuilds those vectors, so steady-state minimization is dominated by
-//! allocator traffic. This module provides a flat alternative:
+//! A `Vec<Cube>` cover gives every cube its own `Vec<u64>`; an ESPRESSO
+//! pass over it clones, sorts, and rebuilds those vectors, so steady-state
+//! minimization is dominated by allocator traffic. This module works on
+//! flat word buffers instead:
 //!
 //! * Word-parallel cube kernels over a [`FlatDomain`] layout
 //!   ([`cube_and_into`], [`cube_contains`], [`cube_distance`],
@@ -36,21 +37,49 @@
 //! raise would unblock some cube, and updates both on each accepted raise.
 //! The cube sorts are stable counting sorts on part count.
 //!
-//! The driver mirrors the legacy `Vec<Cube>` code pass for pass: same cube
-//! orderings (stable sorts on the same keys), same branch variables, same
-//! budget ticks and [`crate::obs`] counters. [`flat_espresso_bounded`] is
-//! therefore bit-identical to [`crate::espresso_bounded`] on *all* domains —
-//! the differential property tests in `tests/prop_flat_cover.rs` enforce
-//! exactly that. The legacy driver survives only as the independent oracle
-//! those suites compare against; no release path calls it.
+//! The driver mirrors the legacy `Vec<Cube>` driver pass for pass: same
+//! cube orderings (stable sorts on the same keys), same branch variables,
+//! same budget ticks and [`crate::obs`] counters. [`flat_espresso_bounded`]
+//! is therefore bit-identical to `picola_oracle::espresso_bounded` on *all*
+//! domains — the differential tests in `tests/prop_flat_cover.rs` and
+//! `tests/flat_oracle.rs` enforce exactly that. The legacy driver lives in
+//! the dev-only `picola-oracle` crate as the independent oracle those
+//! suites compare against; no release code links it.
 
 use crate::budget::{Budget, Completion};
 use crate::cover::Cover;
 use crate::cube::Cube;
 use crate::domain::Domain;
-use crate::espresso::MinimizeOptions;
 use crate::obs;
 use crate::simd;
+
+/// Tuning knobs of the ESPRESSO loop ([`flat_espresso_with`],
+/// [`flat_espresso_bounded`]).
+#[derive(Debug, Clone)]
+pub struct MinimizeOptions {
+    /// Upper bound on REDUCE/EXPAND/IRREDUNDANT iterations.
+    pub max_iterations: usize,
+    /// Extract essential primes once after the first EXPAND/IRREDUNDANT and
+    /// treat them as don't-cares inside the loop (ESPRESSO's default).
+    pub use_essentials: bool,
+    /// Attempt LAST_GASP (maximal individual reduction + expansion) when
+    /// the main loop stalls, re-entering the loop on success.
+    pub use_last_gasp: bool,
+    /// Verify (debug builds only) after every step that the cover still
+    /// implements the function.
+    pub check_invariants: bool,
+}
+
+impl Default for MinimizeOptions {
+    fn default() -> Self {
+        MinimizeOptions {
+            max_iterations: 12,
+            use_essentials: true,
+            use_last_gasp: true,
+            check_invariants: cfg!(debug_assertions),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Flat layer: FlatDomain and the word-parallel kernels
@@ -411,8 +440,9 @@ impl MinimizeScratch {
 // register-blocked straight-line code), three-word domains run padded on
 // the 4-word engine, and wider domains share one dynamic-stride
 // instantiation. Every kernel mirrors its legacy `Vec<Cube>` counterpart
-// exactly — orderings, branch variables, counters — so
-// `flat_espresso_bounded` stays bit-identical to `espresso_bounded`.
+// in `picola-oracle` exactly — orderings, branch variables, counters — so
+// `flat_espresso_bounded` stays bit-identical to the oracle's
+// `espresso_bounded`.
 
 /// Compile-time-or-dynamic word stride of a cube.
 trait Stride: Copy {
@@ -1204,7 +1234,7 @@ impl<S: Stride> MvCtx<'_, S> {
 }
 
 /// The ESPRESSO driver: the full loop over fixed-stride cube chunks,
-/// mirroring [`crate::espresso_bounded`] pass for pass: same span
+/// mirroring `picola_oracle::espresso_bounded` pass for pass: same span
 /// (`"espresso"`), same `espresso.iter` budget ticks, same counter
 /// increments, same cube orderings. Returns the minimized cover as a pool
 /// buffer (the caller should [`MinimizeScratch::give`] it back) plus the
@@ -1397,8 +1427,7 @@ fn unpad_stride(src: &[u64], from: usize, to: usize, out: &mut Vec<u64>) {
 
 /// Runs a word-form minimization over `dom` on the engine at the domain's
 /// stride rung ([`run_stride`]), with the layout cached in `scratch`.
-/// Total — every domain is handled, and nothing routes to the legacy
-/// driver.
+/// Total — every domain is handled.
 fn run_words(
     dom: &Domain,
     on_w: &[u64],
@@ -1456,8 +1485,12 @@ fn words_to_cover(dom: &Domain, words: &[u64]) -> Cover {
 
 /// ESPRESSO under a budget on the flat engine, for **every** domain: the
 /// one driver at the stride rung of the domain's cube width. Bit-identical
-/// to the legacy [`crate::espresso_bounded`] in all cases — and never
-/// calls it.
+/// to the legacy `picola_oracle::espresso_bounded` in all cases.
+///
+/// The returned cover always implements `(on, dc)` — even under immediate
+/// exhaustion the on-set itself (made single-cube-containment-free) is
+/// returned — so degradation costs quality, never correctness. The second
+/// component is [`Budget::completion`] as of return.
 pub fn flat_espresso_bounded(
     on: &Cover,
     dc: &Cover,
@@ -1480,13 +1513,24 @@ pub fn flat_espresso_bounded(
 }
 
 /// [`flat_espresso_bounded`] with default options, an unlimited budget, and
-/// a one-shot scratch — the flat counterpart of [`crate::espresso`].
+/// a one-shot scratch.
+///
+/// # Examples
+///
+/// ```
+/// use picola_logic::{flat_espresso, Cover, Domain};
+///
+/// let dom = Domain::binary(3);
+/// let on = Cover::parse(&dom, "110 111 011");
+/// let min = flat_espresso(&on, &Cover::empty(&dom));
+/// assert_eq!(min.len(), 2); // 11- and -11
+/// ```
 pub fn flat_espresso(on: &Cover, dc: &Cover) -> Cover {
     flat_espresso_with(on, dc, &MinimizeOptions::default())
 }
 
 /// [`flat_espresso_bounded`] with an unlimited budget and a one-shot
-/// scratch — the flat counterpart of [`crate::espresso_with`].
+/// scratch.
 pub fn flat_espresso_with(on: &Cover, dc: &Cover, opts: &MinimizeOptions) -> Cover {
     let mut scratch = MinimizeScratch::new();
     flat_espresso_bounded(on, dc, opts, &Budget::unlimited(), &mut scratch).0
@@ -1498,7 +1542,6 @@ mod tests {
     use crate::cover::Cover;
     use crate::cube::Cube;
     use crate::domain::Domain;
-    use crate::espresso::espresso;
 
     fn cover_from_codes(dom: &Domain, nv: usize, codes: &[u32]) -> Cover {
         let mut c = Cover::empty(dom);
@@ -1510,16 +1553,6 @@ mod tests {
             c.push(cube);
         }
         c
-    }
-
-    #[test]
-    fn flat_matches_legacy_on_minterm_covers() {
-        let dom = Domain::binary(4);
-        let on = cover_from_codes(&dom, 4, &[0, 1, 2, 3, 8, 9]);
-        let dc = cover_from_codes(&dom, 4, &[10, 11]);
-        let legacy = espresso(&on, &dc);
-        let flat = flat_espresso(&on, &dc);
-        assert_eq!(legacy, flat);
     }
 
     #[test]
@@ -1672,109 +1705,6 @@ mod tests {
         let dc = Cover::empty(&dom);
         let flat = flat_espresso(&on, &dc);
         assert_eq!(flat.len(), 1);
-        assert_eq!(flat, espresso(&on, &dc));
-    }
-
-    #[test]
-    fn flat_matches_legacy_on_multi_valued_domain() {
-        // 5 + 3 + 2 parts in one word, multi-valued: the 1-word rung with
-        // two variables left to the span walk.
-        let dom = crate::domain::DomainBuilder::new()
-            .multi("a", 5)
-            .multi("b", 3)
-            .binary("c")
-            .build();
-        assert_eq!(dom.words(), 1);
-        let mut on = Cover::empty(&dom);
-        for (a, b, c) in [(0, 0, false), (1, 0, false), (0, 1, false), (2, 2, true), (3, 2, true)]
-        {
-            let mut cube = Cube::full(&dom);
-            cube.restrict(&dom, 0, a);
-            cube.restrict(&dom, 1, b);
-            cube.restrict_binary(&dom, 2, c);
-            on.push(cube);
-        }
-        let mut dc = Cover::empty(&dom);
-        let mut d0 = Cube::full(&dom);
-        d0.restrict(&dom, 0, 4);
-        dc.push(d0);
-        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc));
-    }
-
-    fn sparse_binary_cover(dom: &Domain, nv: usize, extra: usize) -> (Cover, Cover) {
-        let mut on = Cover::empty(dom);
-        for code in 0..6u32 {
-            let mut cube = Cube::full(dom);
-            for v in 0..3.min(nv) {
-                cube.restrict_binary(dom, v, code >> v & 1 != 0);
-            }
-            cube.restrict_binary(dom, extra, code % 2 == 0);
-            on.push(cube);
-        }
-        let mut dc = Cover::empty(dom);
-        let mut d = Cube::full(dom);
-        d.restrict_binary(dom, extra, true);
-        d.restrict_binary(dom, 0, true);
-        dc.push(d);
-        (on, dc)
-    }
-
-    #[test]
-    fn flat_matches_legacy_on_full_one_word_binary_domain() {
-        // 32 binary vars fill the word: the last pair sits at bits 62–63.
-        let dom = Domain::binary(32);
-        assert_eq!(dom.words(), 1);
-        assert_eq!(dom.total_parts(), 64);
-        let (on, dc) = sparse_binary_cover(&dom, 32, 31);
-        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc));
-    }
-
-    #[test]
-    fn flat_matches_legacy_on_two_word_domain() {
-        let dom = Domain::binary(33);
-        assert_eq!(dom.words(), 2);
-        let (on, dc) = sparse_binary_cover(&dom, 33, 32);
-        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc));
-    }
-
-    #[test]
-    fn flat_matches_legacy_on_four_word_domain() {
-        let dom = Domain::binary(100);
-        assert_eq!(dom.words(), 4);
-        let (on, dc) = sparse_binary_cover(&dom, 100, 99);
-        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc));
-    }
-
-    #[test]
-    fn flat_matches_legacy_on_dynamic_stride_domain() {
-        // 140 binary vars → 280 parts → 5 words: the DynW fallback rung.
-        let dom = Domain::binary(140);
-        assert_eq!(dom.words(), 5);
-        let (on, dc) = sparse_binary_cover(&dom, 140, 139);
-        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc));
-    }
-
-    #[test]
-    fn flat_matches_legacy_on_multi_word_multi_valued_domain() {
-        // A 9-part state variable plus 60 binary vars: 129 parts, 3 words,
-        // mixed part widths — the shape face-constraint extraction produces.
-        let dom = crate::domain::DomainBuilder::new()
-            .multi("s", 9)
-            .binaries("x", 60)
-            .build();
-        assert_eq!(dom.words(), 3);
-        let mut on = Cover::empty(&dom);
-        for (s, x0) in [(0, false), (1, false), (2, true), (5, true), (8, false)] {
-            let mut cube = Cube::full(&dom);
-            cube.restrict(&dom, 0, s);
-            cube.restrict_binary(&dom, 1, x0);
-            cube.restrict_binary(&dom, 60, !x0);
-            on.push(cube);
-        }
-        let mut dc = Cover::empty(&dom);
-        let mut d = Cube::full(&dom);
-        d.restrict(&dom, 0, 7);
-        dc.push(d);
-        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc));
+        assert!(flat.has_full_cube());
     }
 }

@@ -13,12 +13,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use picola_logic::{espresso, Cover, Domain};
+//! use picola_logic::{flat_espresso, Cover, Domain};
 //!
 //! let dom = Domain::binary(3);
 //! let on = Cover::parse(&dom, "110 111 011");
 //! let dc = Cover::empty(&dom);
-//! let minimized = espresso(&on, &dc);
+//! let minimized = flat_espresso(&on, &dc);
 //! assert_eq!(minimized.len(), 2); // 11- and -11
 //! ```
 //!
@@ -26,8 +26,6 @@
 //!
 //! - [`domain`] / [`cube`] / [`cover`]: the cube algebra.
 //! - [`urp`]: tautology and complementation.
-//! - [`mod@expand`] / [`mod@irredundant`] / [`mod@reduce`] / [`essential`]: the ESPRESSO
-//!   operators; [`espresso`](crate::espresso()) drives them.
 //! - [`primes`] / [`exact`]: exact prime generation and covering.
 //! - [`equiv`]: containment/equivalence checks.
 //! - [`pla`]: Berkeley PLA text format.
@@ -35,16 +33,17 @@
 //!   the deterministic fault-injection harness that tests them.
 //! - [`obs`]: deterministic spans + counters (inert until a recorder is
 //!   installed).
-//! - [`flat`]: the word-slice cube kernels and the flat ESPRESSO engine
-//!   ([`flat_espresso_bounded`]): one driver for every domain,
-//!   monomorphized per cube stride (1, 2 and 4 words, three padded to
-//!   four, a counted loop above).
+//! - [`flat`]: the word-slice cube kernels and the ESPRESSO minimizer
+//!   ([`flat_espresso_bounded`], tuned by [`MinimizeOptions`]): one driver
+//!   for every domain, monomorphized per cube stride (1, 2 and 4 words,
+//!   three padded to four, a counted loop above). The legacy `Vec<Cube>`
+//!   driver it mirrors lives in the dev-only `picola-oracle` crate, as the
+//!   tests' independent reference.
 //! - [`simd`]: the lane-unrolled word kernels beneath the flat engine, the
 //!   [`WordSet`] bitset and refine's masked greedy — one definition per
 //!   word operation, written for the auto-vectorizer.
-//! - [`cache`]: the minimization memo ([`GlobalMinimizeCache`]), the
-//!   per-caller [`MinimizeCache`] view over it, and the [`CoverEngine`]
-//!   selector.
+//! - [`cache`]: the minimization memo ([`GlobalMinimizeCache`]) and the
+//!   per-caller [`MinimizeCache`] view over it.
 //! - [`sat`]: CNF formulas, DIMACS I/O, a self-contained CDCL solver, and
 //!   the face-problem compiler behind the `picola-sat` exact oracle.
 //! - [`binio`]: compact binary serialization primitives (varints,
@@ -64,19 +63,13 @@ pub mod cube;
 pub mod domain;
 pub mod equiv;
 pub mod error;
-pub mod espresso;
-pub mod essential;
 pub mod exact;
-pub mod expand;
 pub mod flat;
-pub mod gasp;
-pub mod irredundant;
 pub mod measure;
 pub mod mv_pla;
 pub mod obs;
 pub mod pla;
 pub mod primes;
-pub mod reduce;
 pub mod sat;
 pub mod sharp;
 pub mod simd;
@@ -87,33 +80,24 @@ pub use binio::{fnv1a64, BinioError, ByteReader, ByteWriter, Fnv64};
 pub use bitset::WordSet;
 pub use budget::{Budget, Completion, ExhaustReason};
 pub use cache::{
-    CacheStats, CoverEngine, GlobalMinimizeCache, MinimizeCache, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_CACHE_SHARDS,
+    CacheStats, GlobalMinimizeCache, MinimizeCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS,
 };
 pub use cover::Cover;
 pub use cube::Cube;
 pub use domain::{Domain, DomainBuilder, Var, VarKind};
 pub use equiv::{cover_contains, cover_covers_cube, equivalent, implements};
 pub use error::{ParseLimits, ParsePlaError};
-pub use espresso::{
-    espresso, espresso_bounded, espresso_with, minimized_cube_count, MinimizeOptions,
-};
-pub use essential::essentials;
 pub use exact::{exact_minimize, exact_minimize_bounded, ExactOutcome};
-pub use expand::expand;
 pub use flat::{
     cube_and_into, cube_cofactor_into, cube_consensus_into, cube_contains, cube_distance,
     cube_is_valid, flat_espresso, flat_espresso_bounded, flat_espresso_with, FlatDomain,
-    MinimizeScratch,
+    MinimizeOptions, MinimizeScratch,
 };
-pub use gasp::last_gasp;
-pub use irredundant::irredundant;
 pub use measure::{cover_density, cover_minterms, cube_minterms};
 pub use mv_pla::{parse_mv_pla, parse_mv_pla_with, write_mv_pla};
 pub use obs::{Counter, Recorder, SpanSnapshot, Trace};
 pub use pla::{parse_pla, parse_pla_with, write_pla, Pla, PlaType};
 pub use primes::{all_primes, all_primes_bounded};
-pub use reduce::reduce;
 pub use sat::{Cnf, FaceCnf, FaceProblem, Lit, SatOutcome, SatParseError, SatStats, Solver};
 pub use sharp::{cover_sharp, cube_sharp};
 pub use urp::{complement, cube_complement, tautology};

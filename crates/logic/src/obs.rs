@@ -88,11 +88,6 @@ pub enum Counter {
     /// Refine flips evaluated and rejected before an accept (or in a
     /// chunk that produced no improvement).
     RefineRejects,
-    /// Refine candidate evaluations served entirely from reusable
-    /// per-worker scratch (no per-candidate heap allocation) by the
-    /// incremental code-table engine. Equals [`Counter::RefineEvals`] when
-    /// the default engine runs; zero under the naive reference engine.
-    RefineScratchReuse,
     /// Simulated-annealing moves accepted.
     AnnealAccepts,
     /// Simulated-annealing moves rejected.
@@ -150,7 +145,6 @@ impl Counter {
         Counter::RefineEvals,
         Counter::RefineAccepts,
         Counter::RefineRejects,
-        Counter::RefineScratchReuse,
         Counter::AnnealAccepts,
         Counter::AnnealRejects,
         Counter::FaultsInjected,
@@ -182,7 +176,6 @@ impl Counter {
             Counter::RefineEvals => "refine_evals",
             Counter::RefineAccepts => "refine_accepts",
             Counter::RefineRejects => "refine_rejects",
-            Counter::RefineScratchReuse => "refine_scratch_reuse",
             Counter::AnnealAccepts => "anneal_accepts",
             Counter::AnnealRejects => "anneal_rejects",
             Counter::FaultsInjected => "faults_injected",

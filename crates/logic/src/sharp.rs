@@ -56,7 +56,7 @@ pub fn cube_sharp(dom: &Domain, a: &Cube, b: &Cube) -> Vec<Cube> {
 /// Computes `f # g` for covers: the minterms of `f` not covered by `g`.
 ///
 /// The result is reduced by single-cube containment but not fully
-/// minimized; feed it to [`crate::espresso()`] if a small cover matters.
+/// minimized; feed it to [`crate::flat_espresso`] if a small cover matters.
 pub fn cover_sharp(f: &Cover, g: &Cover) -> Cover {
     let dom = f.domain();
     assert_eq!(dom, g.domain(), "sharp: domain mismatch");

@@ -1,5 +1,5 @@
 //! Differential property tests: the flat cover engine against the legacy
-//! `Vec<Cube>` reference.
+//! `Vec<Cube>` reference in `picola-oracle`.
 //!
 //! Three layers are pinned down here:
 //! 1. the word-parallel kernels (`cube_*_into`, `cube_distance`) against
@@ -11,9 +11,9 @@
 //!    loops, `cube_distance` its meet test, and `cube_consensus_into` and
 //!    `cube_cofactor_into` share their bodies with its essentials and
 //!    cofactor steps;
-//! 2. [`flat_espresso_bounded`] against [`espresso_bounded`] — bit-identical
-//!    covers, completions, and byte-identical traces, on unlimited and
-//!    tightly bounded budgets alike. The corpus spans every stride rung of
+//! 2. [`flat_espresso_bounded`] against the oracle's [`espresso_bounded`] —
+//!    bit-identical covers, completions, and byte-identical traces, on
+//!    unlimited and tightly bounded budgets alike. The corpus spans every stride rung of
 //!    the flat engine: all-binary one-word domains of 4, 5 and 7 variables
 //!    (the widths evaluation prices) plus multi-valued domains at 1-, 2-,
 //!    3- (padded to 4), 4-, and 8-word strides (mixed part counts up to 70
@@ -21,7 +21,7 @@
 //!    independent oracle — is exercised on exactly the domains the flat
 //!    engine owns;
 //! 3. the [`MinimizeCache`] view over a [`GlobalMinimizeCache`] — memo
-//!    lookups, uncached lookups, flat, and legacy must all agree.
+//!    lookups, uncached lookups, and the legacy oracle must all agree.
 
 // Tests are exempt from the panic-freedom policy; clippy's in-tests
 // exemption misses integration-test helpers, so waive it explicitly.
@@ -29,10 +29,10 @@
 
 use picola_logic::{
     cube_and_into, cube_cofactor_into, cube_consensus_into, cube_contains, cube_distance,
-    cube_is_valid, espresso_bounded, flat_espresso_bounded, Budget, Cover, CoverEngine, Cube,
-    Domain, DomainBuilder, FlatDomain, GlobalMinimizeCache, MinimizeCache, MinimizeOptions,
-    MinimizeScratch, Trace,
+    cube_is_valid, flat_espresso_bounded, Budget, Cover, Cube, Domain, DomainBuilder, FlatDomain,
+    GlobalMinimizeCache, MinimizeCache, MinimizeOptions, MinimizeScratch, Trace,
 };
+use picola_oracle::{espresso, espresso_bounded};
 use proptest::prelude::*;
 
 /// Strategy: a random cover over `nvars` binary variables with up to
@@ -390,21 +390,12 @@ proptest! {
         let memo = GlobalMinimizeCache::new();
         let mut cached = MinimizeCache::new();
         let mut uncached = MinimizeCache::new();
-        let reference = cached.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat);
+        let reference = cached.minimized_cube_count(&memo, &on, &dc);
         // the repeat lookup is a memo hit and must agree
-        prop_assert_eq!(
-            cached.minimized_cube_count(&memo, &on, &dc, CoverEngine::Flat),
-            reference
-        );
+        prop_assert_eq!(cached.minimized_cube_count(&memo, &on, &dc), reference);
         prop_assert_eq!(cached.hits(), 1);
-        prop_assert_eq!(
-            uncached.minimized_cube_count_uncached(&on, &dc, CoverEngine::Flat),
-            reference
-        );
-        prop_assert_eq!(
-            cached.minimized_cube_count(&memo, &on, &dc, CoverEngine::Legacy),
-            reference
-        );
+        prop_assert_eq!(uncached.minimized_cube_count_uncached(&on, &dc), reference);
+        prop_assert_eq!(espresso(&on, &dc).len(), reference);
     }
 
     #[test]

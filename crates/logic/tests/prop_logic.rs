@@ -5,10 +5,10 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use picola_logic::{
-    complement, cover_sharp, equivalent, espresso, exact_minimize, expand, implements,
-    irredundant, parse_pla, reduce, tautology, verify_equivalent, write_pla, Cover, Cube,
-    Domain, DomainBuilder, Pla, Verdict,
+    complement, cover_sharp, equivalent, exact_minimize, implements, parse_pla, tautology,
+    verify_equivalent, write_pla, Cover, Cube, Domain, DomainBuilder, Pla, Verdict,
 };
+use picola_oracle::{espresso, expand, irredundant, reduce};
 use proptest::prelude::*;
 
 /// Strategy: a random cover over `nvars` binary variables with up to

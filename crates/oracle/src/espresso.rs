@@ -1,41 +1,15 @@
 //! The ESPRESSO heuristic two-level minimization loop.
 
-use crate::budget::{Budget, Completion};
-use crate::cover::Cover;
-use crate::obs;
-use crate::equiv::implements;
 use crate::essential::essentials;
 use crate::expand::expand;
 use crate::irredundant::irredundant;
 use crate::reduce::reduce;
-use crate::urp::complement;
-
-/// Tuning knobs for [`espresso_with`].
-#[derive(Debug, Clone)]
-pub struct MinimizeOptions {
-    /// Upper bound on REDUCE/EXPAND/IRREDUNDANT iterations.
-    pub max_iterations: usize,
-    /// Extract essential primes once after the first EXPAND/IRREDUNDANT and
-    /// treat them as don't-cares inside the loop (ESPRESSO's default).
-    pub use_essentials: bool,
-    /// Attempt LAST_GASP (maximal individual reduction + expansion) when
-    /// the main loop stalls, re-entering the loop on success.
-    pub use_last_gasp: bool,
-    /// Verify (debug builds only) after every step that the cover still
-    /// implements the function.
-    pub check_invariants: bool,
-}
-
-impl Default for MinimizeOptions {
-    fn default() -> Self {
-        MinimizeOptions {
-            max_iterations: 12,
-            use_essentials: true,
-            use_last_gasp: true,
-            check_invariants: cfg!(debug_assertions),
-        }
-    }
-}
+use picola_logic::budget::{Budget, Completion};
+use picola_logic::cover::Cover;
+use picola_logic::equiv::implements;
+use picola_logic::obs;
+use picola_logic::urp::complement;
+use picola_logic::MinimizeOptions;
 
 /// The cost espresso drives down: primarily the number of cubes, then the
 /// literal count as tie-breaker.
@@ -49,7 +23,8 @@ fn cost(f: &Cover) -> (usize, usize) {
 /// # Examples
 ///
 /// ```
-/// use picola_logic::{espresso, Cover, Domain};
+/// use picola_logic::{Cover, Domain};
+/// use picola_oracle::espresso;
 ///
 /// let dom = Domain::binary(3);
 /// let on = Cover::parse(&dom, "110 111 011");
@@ -179,21 +154,11 @@ pub fn espresso_bounded(
     (f, budget.completion())
 }
 
-/// Convenience wrapper returning only the minimized cube count — the cost
-/// measure used throughout the PICOLA evaluation. Runs the default (flat)
-/// engine once with a one-shot scratch, bypassing the memo and its
-/// counters; long-lived callers should price through a
-/// [`crate::cache::MinimizeCache`] view over a memo so repeat covers hit.
-pub fn minimized_cube_count(on: &Cover, dc: &Cover) -> usize {
-    let mut scratch = crate::flat::MinimizeScratch::new();
-    crate::cache::minimize_count(on, dc, crate::cache::CoverEngine::default(), &mut scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::{Domain, DomainBuilder};
-    use crate::cube::Cube;
+    use picola_logic::domain::{Domain, DomainBuilder};
+    use picola_logic::cube::Cube;
 
     #[test]
     fn minimizes_classic_examples() {
@@ -264,7 +229,7 @@ mod tests {
         let on = Cover::parse(&dom, "1100 0110 0011 1001 1111 0101");
         let dc = Cover::parse(&dom, "0000");
         // Work limit 0: exhausts on the entry tick, before any refinement.
-        let budget = crate::budget::Budget::with_work_limit(0);
+        let budget = picola_logic::budget::Budget::with_work_limit(0);
         let (f, completion) = espresso_bounded(&on, &dc, &MinimizeOptions::default(), &budget);
         assert!(!completion.is_complete());
         assert!(implements(&f, &on, &dc));
@@ -276,7 +241,7 @@ mod tests {
         let on = Cover::parse(&dom, "1100 0110 0011 1001 1111 0101");
         let dc = Cover::empty(&dom);
         // Allows the entry tick plus one loop iteration.
-        let budget = crate::budget::Budget::with_work_limit(2);
+        let budget = picola_logic::budget::Budget::with_work_limit(2);
         let (f, completion) = espresso_bounded(&on, &dc, &MinimizeOptions::default(), &budget);
         assert!(implements(&f, &on, &dc));
         // Either the loop converged within budget or it degraded; both are
@@ -288,7 +253,7 @@ mod tests {
     fn unlimited_budget_matches_unbounded_result() {
         let dom = Domain::binary(3);
         let on = Cover::parse(&dom, "110 111 011");
-        let budget = crate::budget::Budget::unlimited();
+        let budget = picola_logic::budget::Budget::unlimited();
         let (f, completion) =
             espresso_bounded(&on, &Cover::empty(&dom), &MinimizeOptions::default(), &budget);
         assert!(completion.is_complete());

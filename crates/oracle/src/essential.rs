@@ -6,9 +6,9 @@
 //! by `H ∪ DC`, where `H` collects, for every other cube `g` of the cover,
 //! `g` itself (distance 0) or the consensus `cons(g, c)` (distance 1).
 
-use crate::cover::Cover;
-use crate::cube::Cube;
-use crate::equiv::cover_covers_cube;
+use picola_logic::cover::Cover;
+use picola_logic::cube::Cube;
+use picola_logic::equiv::cover_covers_cube;
 
 fn essential_test_cover(f: &Cover, dc: &Cover, skip: usize) -> Cover {
     let dom = f.domain();
@@ -63,11 +63,11 @@ pub fn essentials(f: &Cover, dc: &Cover) -> Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Domain;
     use crate::expand::expand;
     use crate::irredundant::irredundant;
-    use crate::primes::all_primes;
-    use crate::urp::complement;
+    use picola_logic::domain::Domain;
+    use picola_logic::primes::all_primes;
+    use picola_logic::urp::complement;
 
     /// Ground truth: `c` is essential iff some minterm of the on-set is
     /// covered by `c` and by no other prime of the full prime set.

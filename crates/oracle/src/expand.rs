@@ -1,8 +1,8 @@
 //! EXPAND: enlarge each cube of a cover into a prime implicant against an
 //! explicit off-set, absorbing other cubes along the way.
 
-use crate::cover::Cover;
-use crate::cube::Cube;
+use picola_logic::cover::Cover;
+use picola_logic::cube::Cube;
 
 /// Expands every cube of `f` to a prime with respect to the off-set `off`,
 /// removing cubes that become covered by an expanded cube.
@@ -65,8 +65,8 @@ pub fn expand(f: &Cover, off: &Cover) -> Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Domain;
-    use crate::urp::{complement, tautology};
+    use picola_logic::domain::Domain;
+    use picola_logic::urp::{complement, tautology};
 
     #[test]
     fn expand_reaches_primes() {

@@ -6,11 +6,11 @@
 //! against the off-set, and if any expansion covers two or more original
 //! cubes, splices the newcomers in and lets IRREDUNDANT settle the result.
 
-use crate::cover::Cover;
-use crate::cube::Cube;
 use crate::expand::expand;
 use crate::irredundant::irredundant;
-use crate::urp::complement;
+use picola_logic::cover::Cover;
+use picola_logic::cube::Cube;
+use picola_logic::urp::complement;
 
 /// One LAST_GASP attempt. Returns `Some(better)` when a cheaper cover was
 /// found, `None` when the local minimum survives.
@@ -75,9 +75,9 @@ pub fn last_gasp(f: &Cover, dc: &Cover, off: &Cover) -> Option<Cover> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Domain;
-    use crate::equiv::implements;
     use crate::espresso::espresso;
+    use picola_logic::domain::Domain;
+    use picola_logic::equiv::implements;
 
     #[test]
     fn gasp_preserves_the_function() {

@@ -1,8 +1,8 @@
 //! IRREDUNDANT: remove cubes covered by the rest of the cover plus the
 //! don't-care set.
 
-use crate::cover::Cover;
-use crate::equiv::cover_covers_cube;
+use picola_logic::cover::Cover;
+use picola_logic::equiv::cover_covers_cube;
 
 /// Returns an irredundant subset of `f`: no remaining cube is covered by the
 /// union of the other remaining cubes and `dc`.
@@ -43,8 +43,8 @@ pub fn irredundant(f: &Cover, dc: &Cover) -> Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Domain;
-    use crate::equiv::equivalent;
+    use picola_logic::domain::Domain;
+    use picola_logic::equiv::equivalent;
 
     #[test]
     fn removes_consensus_cube() {

@@ -1,9 +1,9 @@
 //! REDUCE: shrink each cube to the smallest cube still covering the part of
 //! the function no other cube covers, enabling EXPAND to escape local optima.
 
-use crate::cover::Cover;
-use crate::cube::Cube;
-use crate::urp::complement;
+use picola_logic::cover::Cover;
+use picola_logic::cube::Cube;
+use picola_logic::urp::complement;
 
 /// Reduces every cube of `f` in sequence (largest first): cube `c` is
 /// replaced by `c ∩ supercube(¬((F ∖ c ∪ dc) cofactored by c))`, the smallest
@@ -53,8 +53,8 @@ pub fn reduce(f: &Cover, dc: &Cover) -> Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Domain;
-    use crate::equiv::implements;
+    use picola_logic::domain::Domain;
+    use picola_logic::equiv::implements;
 
     #[test]
     fn reduce_preserves_function() {

@@ -11,7 +11,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use picola::logic::{
-    complement, equivalent, espresso, exact_minimize, implements, parse_pla, write_pla,
+    complement, equivalent, exact_minimize, flat_espresso, implements, parse_pla, write_pla,
     ExactOutcome,
 };
 
@@ -54,7 +54,7 @@ fn main() {
         pla.dc.len()
     );
 
-    let minimized = espresso(&pla.on, &pla.dc);
+    let minimized = flat_espresso(&pla.on, &pla.dc);
     assert!(
         implements(&minimized, &pla.on, &pla.dc),
         "minimized cover must implement the function"

@@ -9,15 +9,22 @@ Fails (exit 1) unless the report parses as JSON and every instance carries
 a non-empty `metrics` block: positive `total_work` and a span tree with at
 least one child under the root.
 
-When an instance carries a `refine` A/B block (schema v3+), its invariant
-flags must hold: `engines_match` (incremental and naive engines produced
-identical encodings) and `parallel_matches_sequential` (thread count does
-not change results).
+When an instance carries a `refine` A/B block (schemas v3-v10), its
+invariant flags must hold: `engines_match` (incremental and naive engines
+produced identical encodings) and `parallel_matches_sequential` (thread
+count does not change results).
 
-When an instance carries `eval_ab` / `enc_ab` blocks (schema v4+), their
-`matches` flag must hold (flat/legacy engines and cache-on/off runs are
-bit-identical) and every leg must report a positive `work` alongside its
-`wall_ms` — the wall-per-work fields the PR 5 acceptance criteria gate on.
+When an instance carries `eval_ab` / `enc_ab` blocks (schemas v4-v10) or an
+`mv_ab` block (schemas v6-v10), their `matches` flag must hold (flat/legacy
+engines and cache-on/off runs are bit-identical) and every leg must report
+a positive `work` alongside its `wall_ms` — the wall-per-work fields those
+legs were judged on.
+
+Schema v11 dropped the `refine`, `eval_ab`, `enc_ab` and `mv_ab` legs
+together with the engine selectors they raced (the legacy cover engine and
+the naive refine engine); the checks above skip reports without the blocks
+and still apply to the checked-in `BENCH_pr4`-`BENCH_pr10` reports that
+carry them.
 
 When the report carries a `serve_ab` block per instance and a `serve`
 totals block (schema v5+), the warm leg must be bit-identical to the cold

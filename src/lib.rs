@@ -71,7 +71,7 @@ pub mod prelude {
         PicolaEncoder, PicolaOptions,
     };
     pub use picola_fsm::{benchmark_fsm, parse_kiss, symbolic_cover, Fsm};
-    pub use picola_logic::{espresso, Cover, Cube, Domain, DomainBuilder};
+    pub use picola_logic::{flat_espresso, Cover, Cube, Domain, DomainBuilder};
     pub use picola_sat::{ExactOracle, SatEncoder};
     pub use picola_stassign::{assign_states, FlowOptions, PicolaStateEncoder};
 }

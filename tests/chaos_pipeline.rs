@@ -17,8 +17,8 @@ use picola::core::{chaos, Budget, Encoder, PicolaEncoder};
 use picola::sat::SatEncoder;
 use picola::fsm::parse_kiss;
 use picola::logic::{
-    espresso_bounded, exact_minimize_bounded, parse_mv_pla, parse_pla, Cover, Domain,
-    MinimizeOptions,
+    exact_minimize_bounded, flat_espresso_bounded, parse_mv_pla, parse_pla, Cover, Domain,
+    MinimizeOptions, MinimizeScratch,
 };
 use picola::stassign::{assign_states_bounded, FlowOptions};
 
@@ -104,7 +104,13 @@ fn drive_everything() {
     let on = Cover::parse(&dom, "110- 0-11 10-0 -110");
     let dc = Cover::empty(&dom);
     let budget = Budget::unlimited();
-    let (cover, _) = espresso_bounded(&on, &dc, &MinimizeOptions::default(), &budget);
+    let (cover, _) = flat_espresso_bounded(
+        &on,
+        &dc,
+        &MinimizeOptions::default(),
+        &budget,
+        &mut MinimizeScratch::new(),
+    );
     assert!(!cover.is_empty(), "espresso must keep covering the on-set");
     let budget = Budget::unlimited();
     let out = exact_minimize_bounded(&on, &dc, &budget);

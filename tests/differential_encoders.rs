@@ -12,9 +12,10 @@
 //!    constraint matches the oracle's face-embedding check;
 //! 3. the parallel portfolio returns the same winner, winning cost, and
 //!    winning encoding as a sequential run;
-//! 4. the evaluation pipeline returns bit-identical results for every
-//!    (cover engine, cache) combination — the flat engine and the
-//!    minimization memo are performance levers, never semantic ones.
+//! 4. the evaluation pipeline returns bit-identical results with the
+//!    minimization memo on and off, and every per-constraint cube count
+//!    equals the legacy `Vec<Cube>` ESPRESSO in `picola-oracle` — the flat
+//!    engine and the memo are performance levers, never semantic ones.
 
 // Tests are exempt from the panic-freedom policy; clippy's in-tests
 // exemption misses integration-test helpers, so waive it explicitly.
@@ -22,9 +23,8 @@
 
 use picola::baselines::{standard_members, standard_portfolio, NaturalEncoder};
 use picola::constraints::{min_code_length, Encoding, GroupConstraint};
-use picola::core::{
-    evaluate_encoding_cached, Budget, CoverEngine, Encoder, EvalContext, EvalOptions,
-};
+use picola::core::{evaluate_encoding_cached, Budget, Encoder, EvalContext, EvalOptions};
+use picola::logic::Domain;
 use picola::sat::{exact_cost, ExactOracle};
 use picola_bench::corpus::{corpus, corpus_tier, Instance, Tier};
 use std::collections::HashSet;
@@ -141,50 +141,60 @@ fn parallel_portfolio_matches_sequential_on_the_corpus() {
 
 #[test]
 fn evaluation_is_identical_across_engines_and_cache_modes() {
-    // Every (engine, cache) combination of the evaluation pipeline must
-    // price every encoder's encoding identically — per-constraint cube
-    // counts included, not just the total. Contexts are long-lived across
-    // the whole corpus so the cached legs exercise genuine memo hits. The
-    // large tier (24–128 symbols, up to 8 code bits) adds the widest
-    // one-word binary covers evaluation minimizes.
+    // The evaluation pipeline must price every encoder's encoding
+    // identically with the memo on and off — per-constraint cube counts
+    // included, not just the total — and every count must equal the legacy
+    // oracle's minimization of the same constraint function. Contexts are
+    // long-lived across the whole corpus so the cached leg exercises
+    // genuine memo hits. The large tier (24–128 symbols, up to 8 code bits)
+    // adds the widest one-word binary covers evaluation minimizes.
     //
-    // `PICOLA_ORACLE_ORDER=legacy-first` runs the legacy-oracle legs before
-    // the flat ones; CI runs the suite once per order, proving the verdict
+    // `PICOLA_ORACLE_ORDER=legacy-first` runs the oracle before the
+    // pipeline legs; CI runs the suite once per order, proving the verdict
     // does not depend on which engine touches an instance first.
     let legacy_first =
         std::env::var("PICOLA_ORACLE_ORDER").is_ok_and(|v| v == "legacy-first");
-    let mut legs = [
-        (CoverEngine::Flat, true),
-        (CoverEngine::Flat, false),
-        (CoverEngine::Legacy, true),
-        (CoverEngine::Legacy, false),
-    ];
-    if legacy_first {
-        legs.swap(0, 2);
-        legs.swap(1, 3);
-    }
-    let mut ctxs: Vec<EvalContext> = legs.iter().map(|_| EvalContext::new()).collect();
+    let mut cached_ctx = EvalContext::new();
+    let mut uncached_ctx = EvalContext::new();
     let mut check = |inst: &Instance, enc: &Encoding, encoder: &str| {
-        let mut evals = legs
+        let oracle = || {
+            let dom = Domain::binary(enc.nv());
+            inst.constraints
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.is_trivial())
+                .map(|(index, c)| {
+                    let (on, dc) = enc.constraint_function(&dom, c.members());
+                    (index, picola_oracle::espresso(&on, &dc).len())
+                })
+                .collect::<Vec<_>>()
+        };
+        let expected = legacy_first.then(oracle);
+        let eval = |cache: bool, ctx: &mut EvalContext| {
+            let opts = EvalOptions {
+                cache,
+                ..EvalOptions::default()
+            };
+            evaluate_encoding_cached(enc, &inst.constraints, &opts, ctx)
+        };
+        let cached = eval(true, &mut cached_ctx);
+        let uncached = eval(false, &mut uncached_ctx);
+        let expected = expected.unwrap_or_else(oracle);
+        assert_eq!(
+            uncached, cached,
+            "{}/{encoder}: cache=false diverges from cache=true",
+            inst.name
+        );
+        let priced: Vec<(usize, usize)> = cached
+            .per_constraint
             .iter()
-            .zip(ctxs.iter_mut())
-            .map(|(&(engine, cache), ctx)| {
-                let opts = EvalOptions {
-                    engine,
-                    cache,
-                    ..EvalOptions::default()
-                };
-                evaluate_encoding_cached(enc, &inst.constraints, &opts, ctx)
-            });
-        let reference = evals.next().expect("at least one leg");
-        for (ev, &(engine, cache)) in evals.zip(&legs[1..]) {
-            assert_eq!(
-                ev, reference,
-                "{}/{encoder}: {engine:?}/cache={cache} diverges from \
-                 {:?}/cache={} (the reference leg)",
-                inst.name, legs[0].0, legs[0].1
-            );
-        }
+            .map(|cc| (cc.index, cc.cubes))
+            .collect();
+        assert_eq!(
+            priced, expected,
+            "{}/{encoder}: per-constraint cubes diverge from the legacy oracle",
+            inst.name
+        );
     };
     for inst in corpus(20, CORPUS_SEED) {
         for member in standard_members(CORPUS_SEED) {
@@ -198,10 +208,10 @@ fn evaluation_is_identical_across_engines_and_cache_modes() {
             NaturalEncoder.encode_bounded(inst.n, &inst.constraints, &Budget::unlimited());
         check(&inst, &enc, "natural");
     }
-    // The cached flat leg must have actually hit the memo: repeat constraint
+    // The cached leg must have actually hit the memo: repeat constraint
     // functions recur across encodings and instances.
-    assert!(ctxs[0].cache.hits() > 0, "corpus must produce memo hits");
-    assert_eq!(ctxs[1].cache.hits(), 0, "uncached leg must never hit");
+    assert!(cached_ctx.cache.hits() > 0, "corpus must produce memo hits");
+    assert_eq!(uncached_ctx.cache.hits(), 0, "uncached leg must never hit");
 }
 
 #[test]

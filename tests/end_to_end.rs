@@ -9,7 +9,7 @@
 use picola::constraints::Encoding;
 use picola::core::{evaluate_encoding, Encoder, PicolaEncoder};
 use picola::fsm::{benchmark_fsm, parse_kiss, Fsm, Ternary};
-use picola::logic::{espresso, implements, Cover};
+use picola::logic::{flat_espresso, implements, Cover};
 use picola::stassign::{assign_states, encode_machine, fsm_constraints, FlowOptions};
 
 const SMALL: &str = "\
@@ -86,7 +86,7 @@ fn eval_cover(cover: &Cover, ni: usize, nv: usize, input: u32, code: u32) -> Vec
 /// every (state, input) pair the KISS table specifies.
 fn check_behaviour(fsm: &Fsm, enc: &Encoding) {
     let em = encode_machine(fsm, enc);
-    let minimized = espresso(&em.on, &em.dc);
+    let minimized = flat_espresso(&em.on, &em.dc);
     assert!(
         implements(&minimized, &em.on, &em.dc),
         "{}: minimized cover out of bounds",

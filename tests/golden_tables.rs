@@ -3,12 +3,11 @@
 //! benchmarks. Any cost drift — a refine change, a kernel bug, a budget
 //! regression — fails here with the fixture value next to the measured one.
 //!
-//! The fixtures are regenerated with `scripts/regen_tables.sh` under the
-//! flat-only engine (every minimization in the pipeline, binary and
-//! multi-valued alike, runs on `CoverEngine::Flat`; the legacy engine is
-//! never selected). `scripts/verify.sh` gates the same invariant via
-//! `regen_tables.sh --check`, so a cost change in any flat specialization
-//! rung shows up both here and in the fixture diff.
+//! The fixtures are regenerated with `scripts/regen_tables.sh` on the flat
+//! engine, the library's one minimizer (every minimization in the pipeline,
+//! binary and multi-valued alike). `scripts/verify.sh` gates the same
+//! invariant via `regen_tables.sh --check`, so a cost change in any flat
+//! specialization rung shows up both here and in the fixture diff.
 //!
 //! Only the cost columns are compared; the timing columns are
 //! machine-dependent by nature.
