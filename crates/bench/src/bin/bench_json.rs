@@ -19,9 +19,11 @@
 //!   hit rate and cold-over-warm speedup reported, peak-live instances
 //!   bounded (the pipeline fails itself on a lifetime leak).
 //!
-//! Writes one machine-readable JSON report (`BENCH_pr10.json` by default),
-//! including a deterministic per-instance `metrics` block (the obs span /
-//! counter tree of the sequential portfolio run), plus the warm leg's
+//! Writes one machine-readable JSON report (`bench_report.json` by
+//! default, a name git ignores, so a bare run cannot overwrite a checked-in
+//! `BENCH_*.json` that CI validates), including a deterministic
+//! per-instance `metrics` block (the obs span / counter tree of the
+//! sequential portfolio run), plus the warm leg's
 //! stream records as a compact binary artifact (`--format bin`, the
 //! default) or its JSON debug export (`--format json`) next to the report.
 //! See README.md ("Reading the bench JSON") for the schema. Schema v11
@@ -84,7 +86,7 @@ impl Options {
         let mut opts = Options {
             smoke: false,
             tier: Tier::Standard,
-            out: "BENCH_pr10.json".to_owned(),
+            out: "bench_report.json".to_owned(),
             threads: 4,
             seed: 0x0001_C01A,
             instances: 0,

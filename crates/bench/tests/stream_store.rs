@@ -10,7 +10,8 @@
 //!   result is recomputed; injected store I/O faults (`store.io`)
 //!   likewise degrade to cold computation, bit-identically.
 //! * **Safety:** concurrent writers racing on one key leave a store that
-//!   still decodes (atomic tmpfile+rename, last writer wins).
+//!   still decodes (frames appended under a file lock), and two stores
+//!   open on one directory see each other's appends.
 //! * **Bounded memory:** every stream run asserts its peak-live
 //!   tripwire (`run_stream` fails the run itself on a lifetime leak).
 //! * **Artifacts:** every standard- and large-tier bench instance
@@ -61,6 +62,20 @@ fn config(count: usize, tier: Tier, store_dir: Option<PathBuf>) -> StreamConfig 
         store_dir,
         work_limit: None,
     }
+}
+
+/// The byte range of each frame's record in a store log (DESIGN.md §18:
+/// key u64, record length u32, header check u32, record, record check
+/// u64).
+fn frame_records(log: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut records = Vec::new();
+    let mut pos = 0;
+    while pos + 16 <= log.len() {
+        let len = u32::from_le_bytes(log[pos + 8..pos + 12].try_into().unwrap()) as usize;
+        records.push(pos + 16..pos + 16 + len);
+        pos += 16 + len + 8;
+    }
+    records
 }
 
 /// Strips the provenance flag: everything else about a record must be
@@ -132,24 +147,21 @@ fn corrupt_store_entries_are_recomputed_bit_identically() {
     let _lock = chaos_lock();
     let dir = temp_store("corrupt");
     let cold = run_stream(&engine(), &config(8, Tier::Standard, Some(dir.clone()))).unwrap();
-    // Garble every record file in place: truncate some, flip bytes in
-    // others — every shape of on-disk rot the reader must survive.
-    let mut garbled = 0usize;
-    for (i, entry) in std::fs::read_dir(&dir).unwrap().enumerate() {
-        let path = entry.unwrap().path();
-        let bytes = std::fs::read(&path).unwrap();
-        let bad = if i % 2 == 0 {
-            bytes[..bytes.len() / 2].to_vec()
-        } else {
-            let mut b = bytes;
-            let mid = b.len() / 2;
-            b[mid] ^= 0xff;
-            b
-        };
-        std::fs::write(&path, bad).unwrap();
-        garbled += 1;
-    }
-    assert!(garbled >= 1, "cold run left no files to garble");
+    // Rot the log in both shapes the reader must survive: a byte flipped
+    // inside a record mid-log, and a last frame cut short past its header.
+    let log = dir.join("results.log");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let frames = frame_records(&bytes);
+    assert!(frames.len() >= 2, "cold run left {} frames", frames.len());
+    let (last, earlier) = frames.split_last().unwrap();
+    let mid = bytes.len() / 2;
+    let flipped = earlier
+        .iter()
+        .find(|r| r.end > mid)
+        .unwrap_or(&earlier[earlier.len() - 1]);
+    bytes[(flipped.start + flipped.end) / 2] ^= 0xff;
+    bytes.truncate((last.start + last.end) / 2);
+    std::fs::write(&log, bytes).unwrap();
     let warm = run_stream(&engine(), &config(8, Tier::Standard, Some(dir.clone()))).unwrap();
     for (c, w) in cold.records.iter().zip(&warm.records) {
         assert_eq!(
@@ -159,11 +171,10 @@ fn corrupt_store_entries_are_recomputed_bit_identically() {
             c.index
         );
     }
-    // Truncations are always structural corruption; a mid-byte flip can
-    // at worst decode to a semantically invalid record, which is also
-    // rejected — either way, at least one corrupt entry must be counted
-    // and nothing may be served from the rotten files as a hit of the
-    // *wrong* result (the differential above already proved that).
+    // The cut frame keeps its header, so its key is always counted
+    // corrupt; the flipped record fails its check. Nothing may be served
+    // from the rotten log as a hit of the *wrong* result (the
+    // differential above already proved that).
     assert!(
         warm.store.corrupt >= 1,
         "no corruption counted: {:?}",
@@ -242,14 +253,60 @@ fn concurrent_writers_on_one_key_leave_a_decodable_store() {
     assert_eq!(read.nv, result.nv);
     let stats = store.stats();
     assert_eq!(stats.inserts, 8 * 16);
-    assert_eq!(stats.corrupt, 0, "rename must be atomic: {stats:?}");
-    // No tmpfiles may survive the race.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-        assert!(
-            name.ends_with(".rec"),
-            "stray non-record file after the race: {name}"
-        );
+    assert_eq!(stats.corrupt, 0, "appends must not interleave: {stats:?}");
+    // The directory holds the log and nothing else.
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["results.log"], "stray files after the race");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two stores open on one directory hold separate handles on its log, as
+/// two processes would. Threads append distinct keys through both, and
+/// each thread reads every key it wrote back through the *other* store
+/// while the rest still append; afterwards every key hits through both.
+#[test]
+fn two_stores_on_one_directory_see_each_others_appends() {
+    let _lock = chaos_lock();
+    let dir = temp_store("two");
+    let stores = [
+        ResultStore::open(&dir).unwrap(),
+        ResultStore::open(&dir).unwrap(),
+    ];
+    let result = StoredResult {
+        nv: 3,
+        codes: vec![0, 1, 2, 3, 4],
+        total_cubes: 7,
+        satisfied: 2,
+        evaluated: 3,
+    };
+    let key = |t: u64, i: u64| picola_core::store::StoreKey(t << 32 | i);
+    let (threads, per_thread) = (4u64, 32u64);
+    let start = std::sync::Barrier::new(threads as usize);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let (mine, other) = (&stores[t as usize % 2], &stores[1 - t as usize % 2]);
+            let (start, result) = (&start, &result);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..per_thread {
+                    assert!(mine.insert(key(t, i), result), "insert failed");
+                    assert_eq!(other.lookup(key(t, i)).as_ref(), Some(result));
+                }
+            });
+        }
+    });
+    for store in &stores {
+        for t in 0..threads {
+            for i in 0..per_thread {
+                assert_eq!(store.lookup(key(t, i)).as_ref(), Some(&result));
+            }
+        }
+        let stats = store.stats();
+        assert_eq!(stats.corrupt, 0, "{stats:?}");
+        assert_eq!(stats.inserts, threads / 2 * per_thread);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

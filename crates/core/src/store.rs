@@ -6,19 +6,33 @@
 //! length override, and the sorted member list of every constraint — see
 //! [`canonical_job_bytes`]), so two textually different descriptions of
 //! the same job share one entry; the value is a compact binary
-//! [`StoredResult`] record (DESIGN.md §18 has the byte-layout tables).
+//! [`StoredResult`] record. A store directory holds one append-only log,
+//! `results.log`, of checked frames, each carrying one key and its record,
+//! plus an in-memory index from key to record (DESIGN.md §18 has the
+//! byte-layout tables).
 //!
 //! Durability discipline:
 //!
-//! - **Atomic inserts** — records are written to a unique tmpfile in the
-//!   store directory and `rename`d into place, so readers never observe a
-//!   half-written entry and concurrent writers race benignly (both write
-//!   identical bytes for the same key; either rename wins).
-//! - **Corruption-tolerant reads** — a missing file is a miss; a
-//!   truncated, garbled, or semantically invalid record (codes that fail
-//!   [`Encoding::new`]) is an *honest counted miss*: the caller recomputes
-//!   and overwrites, and [`StoreStats::corrupt`] records the event. The
-//!   store never invents results and never panics on hostile bytes.
+//! - **Locked appends** — an insert writes its whole frame with one
+//!   `write_all` on an append handle while it holds an exclusive lock on
+//!   the log, so frames from any number of threads and processes never
+//!   interleave, and an insert creates no file. Concurrent writers racing
+//!   one key append equal payloads (the key is a digest of the job and
+//!   results are deterministic), so the duplicate frames are harmless.
+//! - **Catch-up** — the index is built lazily: a lookup of a key it does
+//!   not hold first reads the log from the last indexed offset to its end
+//!   under a shared lock and indexes every frame there, a later frame for
+//!   a key replacing an earlier one. This is how a store sees the appends
+//!   of another process.
+//! - **Corruption-tolerant reads** — a frame's header and record each
+//!   carry an FNV-1a check. A header that fails its check is skipped one
+//!   byte at a time until a header checks again (resync). A frame whose
+//!   header holds but whose record is cut short, fails its check, or fails
+//!   to decode or validate (codes that fail [`Encoding::new`]) marks its
+//!   key corrupt: looking it up is an *honest counted miss*, the caller
+//!   recomputes and re-inserts, and the new frame wins at the next
+//!   catch-up. [`StoreStats::corrupt`] records each such lookup. The store
+//!   never invents results and never panics on hostile bytes.
 //! - **Only complete results** — callers must not insert degraded
 //!   (budget-exhausted) outputs; [`StoredResult::from_output`] enforces
 //!   this by returning `None` for them. A warm lookup therefore always
@@ -30,12 +44,14 @@
 
 use crate::engine::{Job, JobOutput};
 use picola_constraints::{Encoding, GroupConstraint};
-use picola_logic::binio::{ByteReader, ByteWriter, Fnv64};
+use picola_logic::binio::{fnv1a64, ByteReader, ByteWriter, Fnv64};
 use picola_logic::chaos;
-use std::fs;
-use std::io;
+use std::collections::HashMap;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Record-kind tag of canonical job bytes (digest input, never persisted).
 pub const KIND_JOB: u8 = 1;
@@ -47,18 +63,19 @@ pub const KIND_RESULT: u8 = 2;
 /// enough that corrupt counts cannot drive huge allocations.
 const MAX_DECODE_COUNT: u64 = 1 << 24;
 
+/// File name of the store's log inside its directory.
+const LOG_FILE: &str = "results.log";
+/// Bytes of a frame header: key u64 LE, record length u32 LE, header
+/// check u32 LE.
+const HEADER_LEN: usize = 16;
+/// Bytes of the record check that closes a frame (u64 LE).
+const CHECK_LEN: usize = 8;
+
 /// Content address of one encode job: the FNV-1a digest of its canonical
-/// bytes. Displayed and used on disk as 16 lowercase hex digits.
+/// bytes. On disk it opens each frame of the store's log as 8
+/// little-endian bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StoreKey(pub u64);
-
-impl StoreKey {
-    /// The on-disk file name of this key.
-    #[must_use]
-    pub fn file_name(self) -> String {
-        format!("{:016x}.rec", self.0)
-    }
-}
 
 /// Canonical binary form of an encode job: versioned header, `n`, the
 /// `nv` override (0 = none, else `nv + 1`), then each constraint as a
@@ -211,7 +228,7 @@ pub struct StoreStats {
     pub misses: u64,
     /// Misses caused by an unreadable or invalid entry specifically.
     pub corrupt: u64,
-    /// Records durably renamed into place.
+    /// Frames appended whole to the log.
     pub inserts: u64,
     /// Inserts skipped or failed (I/O error, injected fault, degraded
     /// result offered).
@@ -227,28 +244,206 @@ struct StatsInner {
     insert_failures: AtomicU64,
 }
 
+/// The index's view of a key's latest frame.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// An intact frame: the log offset and length of its record.
+    Record { offset: u64, len: usize },
+    /// A frame whose header checks but whose record is cut short or fails
+    /// its check, or an indexed record that failed its check or decode
+    /// at lookup.
+    Corrupt,
+}
+
+/// The answer of [`Log::find`].
+enum Found {
+    Hit(StoredResult),
+    Miss,
+    Corrupt,
+}
+
+/// The open log and its index, guarded together by one mutex.
+#[derive(Debug)]
+struct Log {
+    /// Read + append handle on `results.log`.
+    file: File,
+    index: HashMap<StoreKey, Slot>,
+    /// Log offset up to which every frame has been indexed.
+    indexed: u64,
+}
+
+/// The low 32 bits of FNV-1a over a frame's key and length bytes.
+fn header_check(key_len: &[u8]) -> u32 {
+    // truncation intended: the check is the digest's low half
+    fnv1a64(key_len) as u32
+}
+
+/// One frame of the log: key, record length, header check, record,
+/// record check. `None` for a record too long for the length field.
+fn frame(key: StoreKey, record: &[u8]) -> Option<Vec<u8>> {
+    let len = u32::try_from(record.len()).ok()?;
+    let mut f = Vec::with_capacity(HEADER_LEN + record.len() + CHECK_LEN);
+    f.extend_from_slice(&key.0.to_le_bytes());
+    f.extend_from_slice(&len.to_le_bytes());
+    let check = header_check(&f);
+    f.extend_from_slice(&check.to_le_bytes());
+    f.extend_from_slice(record);
+    f.extend_from_slice(&fnv1a64(record).to_le_bytes());
+    Some(f)
+}
+
+/// The little-endian `u64` at the start of `b`.
+fn le_u64(b: &[u8]) -> Option<u64> {
+    b.first_chunk().map(|x| u64::from_le_bytes(*x))
+}
+
+/// The little-endian `u32` at the start of `b`.
+fn le_u32(b: &[u8]) -> Option<u32> {
+    b.first_chunk().map(|x| u32::from_le_bytes(*x))
+}
+
+/// The key and record length of the frame header at the start of `b`, or
+/// `None` when fewer than [`HEADER_LEN`] bytes remain or the header check
+/// fails.
+fn parse_header(b: &[u8]) -> Option<(StoreKey, usize)> {
+    let head = b.get(..HEADER_LEN)?;
+    let (key_len, check) = head.split_at(12);
+    if le_u32(check)? != header_check(key_len) {
+        return None;
+    }
+    let len = usize::try_from(le_u32(&key_len[8..])?).ok()?;
+    Some((StoreKey(le_u64(key_len)?), len))
+}
+
+/// Whether `tail` holds `record`'s check.
+fn record_checks(record: &[u8], tail: &[u8]) -> bool {
+    le_u64(tail) == Some(fnv1a64(record))
+}
+
+impl Log {
+    /// Reads the log from `indexed` to its end under a shared lock and
+    /// indexes it. Writers append whole frames under an exclusive lock, so
+    /// no frame is half-written while the shared lock is held: an
+    /// incomplete frame is a torn write that nothing will finish, and
+    /// every byte read is indexed for good.
+    fn catch_up(&mut self) -> io::Result<()> {
+        let mut bytes = Vec::new();
+        self.file.lock_shared()?;
+        let read = (&self.file)
+            .seek(SeekFrom::Start(self.indexed))
+            .and_then(|_| (&self.file).read_to_end(&mut bytes));
+        let unlocked = self.file.unlock();
+        read.and(unlocked)?;
+        self.index_frames(&bytes);
+        self.indexed += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Indexes the frames of `bytes`, which start at log offset `indexed`.
+    /// A failed header check advances one byte (resync). So does a damaged
+    /// record after a good header: it marks the key corrupt, and stepping
+    /// one byte rather than past the claimed length keeps a frame appended
+    /// after a torn one reachable.
+    fn index_frames(&mut self, bytes: &[u8]) {
+        let mut pos = 0;
+        while pos + HEADER_LEN <= bytes.len() {
+            let Some((key, len)) = parse_header(&bytes[pos..]) else {
+                pos += 1;
+                continue;
+            };
+            let start = pos + HEADER_LEN;
+            let body = start
+                .checked_add(len)
+                .and_then(|end| Some((bytes.get(start..end)?, bytes.get(end..)?)));
+            match body {
+                Some((record, tail)) if record_checks(record, tail) => {
+                    let offset = self.indexed + start as u64;
+                    self.index.insert(key, Slot::Record { offset, len });
+                    pos = start + len + CHECK_LEN;
+                }
+                _ => {
+                    self.index.insert(key, Slot::Corrupt);
+                    pos += 1;
+                }
+            }
+        }
+    }
+
+    /// Looks `key` up, catching up first when the index holds no intact
+    /// frame for it. An I/O error while catching up is a corrupt miss.
+    fn find(&mut self, key: StoreKey) -> Found {
+        let indexed = matches!(self.index.get(&key), Some(Slot::Record { .. }));
+        if !indexed && self.catch_up().is_err() {
+            return Found::Corrupt;
+        }
+        match self.index.get(&key).copied() {
+            None => Found::Miss,
+            Some(Slot::Corrupt) => Found::Corrupt,
+            Some(Slot::Record { offset, len }) => match self.read_record(offset, len) {
+                Some(result) => Found::Hit(result),
+                None => {
+                    self.index.insert(key, Slot::Corrupt);
+                    Found::Corrupt
+                }
+            },
+        }
+    }
+
+    /// Reads the indexed record at `offset` and its check, then decodes and
+    /// validates it. Frames are never rewritten, so this needs no file
+    /// lock; `None` when the bytes changed since they were indexed.
+    fn read_record(&mut self, offset: u64, len: usize) -> Option<StoredResult> {
+        let mut buf = vec![0u8; len.checked_add(CHECK_LEN)?];
+        self.file.seek(SeekFrom::Start(offset)).ok()?;
+        self.file.read_exact(&mut buf).ok()?;
+        let (record, check) = buf.split_at(len);
+        if !record_checks(record, check) {
+            return None;
+        }
+        StoredResult::from_bytes(record)
+    }
+
+    /// Appends `frame` with one write under an exclusive lock.
+    fn append(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.file.lock()?;
+        let written = self.file.write_all(frame);
+        let unlocked = self.file.unlock();
+        written.and(unlocked)
+    }
+}
+
 /// A content-addressed directory of [`StoredResult`] records, safe for
 /// concurrent readers and writers in any number of processes.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
     stats: StatsInner,
-    tmp_seq: AtomicU64,
+    log: Mutex<Log>,
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) the store rooted at `dir`.
+    /// Opens (creating if needed) the store rooted at `dir`. The log is
+    /// opened, not read: the index is built by the first lookup.
     ///
     /// # Errors
     ///
-    /// The directory cannot be created.
+    /// The directory or its log cannot be created or opened.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(dir.join(LOG_FILE))?;
         Ok(ResultStore {
             dir,
             stats: StatsInner::default(),
-            tmp_seq: AtomicU64::new(0),
+            log: Mutex::new(Log {
+                file,
+                index: HashMap::new(),
+                indexed: 0,
+            }),
         })
     }
 
@@ -256,6 +451,13 @@ impl ResultStore {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The log and its index. A panic while the lock was held cannot leave
+    /// them inconsistent: index entries are replaced whole, and `indexed`
+    /// advances only after the frames it covers are indexed.
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks `key` up. A missing entry is a miss; an unreadable or
@@ -267,25 +469,17 @@ impl ResultStore {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let path = self.dir.join(key.file_name());
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            Err(_) => {
-                self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match StoredResult::from_bytes(&bytes) {
-            Some(result) => {
+        let found = self.log().find(key);
+        match found {
+            Found::Hit(result) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(result)
             }
-            None => {
+            Found::Miss => {
+                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Found::Corrupt => {
                 self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -293,29 +487,19 @@ impl ResultStore {
         }
     }
 
-    /// Inserts `result` under `key` atomically (tmpfile + rename).
-    /// Returns `true` when the record is durably in place. Failures —
-    /// I/O errors, injected `store.io` faults — are counted and absorbed:
-    /// a store that cannot write degrades the *next* run, never this one.
+    /// Appends `result` under `key` as one frame. Returns `true` when the
+    /// whole frame was written. Failures — I/O errors, injected
+    /// `store.io` faults — are counted and absorbed: a store that cannot
+    /// write degrades the *next* run, never this one.
     pub fn insert(&self, key: StoreKey, result: &StoredResult) -> bool {
         if chaos::should_fire("store.io") {
             self.stats.insert_failures.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(
-            ".tmp-{:016x}-{}-{seq}",
-            key.0,
-            std::process::id()
-        ));
-        let finish = self.dir.join(key.file_name());
-        let written = fs::write(&tmp, result.to_bytes())
-            .and_then(|()| fs::rename(&tmp, &finish))
-            .is_ok();
+        let written = frame(key, &result.to_bytes()).is_some_and(|f| self.log().append(&f).is_ok());
         if written {
             self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         } else {
-            let _ = fs::remove_file(&tmp);
             self.stats.insert_failures.fetch_add(1, Ordering::Relaxed);
         }
         written
@@ -426,11 +610,56 @@ mod tests {
         let r = sample_result();
         assert!(store.insert(key, &r));
         assert_eq!(store.lookup(key), Some(r));
-        // Garble the entry on disk: the next lookup is a corrupt miss.
-        fs::write(dir.join(key.file_name()), b"not a record").unwrap();
+        // Garble the record bytes of its frame inside the log: the next
+        // lookup is a corrupt miss.
+        let log = dir.join(LOG_FILE);
+        let mut bytes = fs::read(&log).unwrap();
+        let record = HEADER_LEN..bytes.len() - CHECK_LEN;
+        bytes[record].iter_mut().for_each(|b| *b = !*b);
+        fs::write(&log, bytes).unwrap();
         assert!(store.lookup(key).is_none());
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.corrupt, s.inserts), (1, 2, 1, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A torn write at the end of the log (a frame cut after its header)
+    /// must not hide the frames appended after it: catch-up resyncs past
+    /// the torn bytes, and the re-inserted key wins.
+    #[test]
+    fn frames_after_a_torn_tail_are_found() {
+        let dir = tmp_dir("torn");
+        let r = sample_result();
+        let keys: Vec<StoreKey> = (1..=4).map(StoreKey).collect();
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            for &key in &keys {
+                assert!(store.insert(key, &r));
+            }
+        }
+        let log = dir.join(LOG_FILE);
+        let frame_len = frame(keys[3], &r.to_bytes()).unwrap().len();
+        let full = fs::metadata(&log).unwrap().len();
+        let torn = full - frame_len as u64 + HEADER_LEN as u64 + 3;
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&log)
+            .unwrap()
+            .set_len(torn)
+            .unwrap();
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            assert!(store.lookup(keys[3]).is_none(), "torn frame is a miss");
+            assert_eq!(store.stats().corrupt, 1, "its intact header names it");
+            assert!(store.insert(keys[3], &r), "re-insert after the torn tail");
+            assert!(store.insert(StoreKey(5), &r));
+        }
+        let store = ResultStore::open(&dir).unwrap();
+        for key in keys.into_iter().chain([StoreKey(5)]) {
+            assert_eq!(store.lookup(key), Some(r.clone()), "{key:?}");
+        }
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.corrupt), (5, 0, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -71,10 +71,10 @@ pub const TRIGGER_POINTS: &[&str] = &[
     "server.socket",
     "server.queue",
     // picola-core: content-addressed result store I/O (a lookup or an
-    // atomic insert fails as if the disk did). A firing lookup degrades to
-    // an honest counted miss and a firing insert is skipped — results are
-    // recomputed, never invented. Swept in tests/server_lifecycle.rs and
-    // the bench crate's store suite.
+    // append to the store's log fails as if the disk did). A firing
+    // lookup degrades to an honest counted miss and a firing insert is
+    // skipped — results are recomputed, never invented. Swept in
+    // tests/server_lifecycle.rs and the bench crate's store suite.
     "store.io",
 ];
 

@@ -31,11 +31,14 @@
 //! per word of `a ∧ b` counts their empty literals, and only the remaining
 //! variables walk their spans. On an all-binary one-word domain every
 //! variable is such a pair, so nothing walks. Cofactoring, consensus,
-//! essentials and [`cube_distance`] all use it. EXPAND never sweeps the
-//! off-set per candidate part: it keeps, per off-set cube, the number of
-//! variables that block the growing cube, plus the mask of parts whose
-//! raise would unblock some cube, and updates both on each accepted raise.
-//! The cube sorts are stable counting sorts on part count.
+//! essentials and [`cube_distance`] all use it. EXPAND reads the
+//! ESPRESSO-II blocking matrix by column: for each part, one bitset over
+//! the `m` off-set cubes that hold it. Testing or accepting a raise then
+//! costs a few sweeps of ⌈m/64⌉ words, never a pass over the off-set cube
+//! by cube. Every merge of the off-set complement is containment-free by
+//! construction, so it closes with the stable part-count sort alone and
+//! runs no scc pair loop. The cube sorts are stable counting sorts on part
+//! count.
 //!
 //! The driver mirrors the legacy `Vec<Cube>` driver pass for pass: same
 //! cube orderings (stable sorts on the same keys), same branch variables,
@@ -230,29 +233,20 @@ impl FlatDomain {
                 .count()
     }
 
-    /// ORs `lit(a, b)`, word by word, into `out` on the parts of every
+    /// ORs `a ∨ b`, word by word, into `out` on the parts of every
     /// variable whose literal is empty in the meet `a ∧ b` (the first `w`
-    /// words of each). EXPAND passes `b`'s literal once the off-set cube `b`
-    /// is blocked by a single variable, whose parts then become illegal
-    /// raises; consensus passes `a ∨ b` on its one conflicting variable.
-    fn or_on_empty_vars(
-        &self,
-        a: &[u64],
-        b: &[u64],
-        out: &mut [u64],
-        w: usize,
-        lit: impl Fn(u64, u64) -> u64,
-    ) {
+    /// words of each): consensus's union on its one conflicting variable.
+    fn or_on_empty_vars(&self, a: &[u64], b: &[u64], out: &mut [u64], w: usize) {
         let (a, b) = (&a[..w], &b[..w]);
         for (k, (d, (&x, &y))) in out[..w].iter_mut().zip(a.iter().zip(b)).enumerate() {
             let e = self.empty_pairs(k, x & y);
-            *d |= lit(x, y) & (e | e << 1);
+            *d |= (x | y) & (e | e << 1);
         }
         for &v in &self.walk_vars {
             if self.meet_var_empty(a, b, v) {
                 let (first, start, span) = self.var_spans[v];
                 for k in 0..span {
-                    out[first + k] |= lit(a[first + k], b[first + k]) & self.masks[start + k];
+                    out[first + k] |= (a[first + k] | b[first + k]) & self.masks[start + k];
                 }
             }
         }
@@ -280,33 +274,24 @@ impl FlatDomain {
     #[inline(always)]
     fn consensus_into(&self, a: &[u64], b: &[u64], out: &mut [u64], w: usize) {
         simd::and_into(&mut out[..w], &a[..w], &b[..w]);
-        self.or_on_empty_vars(a, b, out, w, |x, y| x | y);
+        self.or_on_empty_vars(a, b, out, w);
     }
 
-    /// Number of parts of variable `v` in the meet of `a` and `b`.
-    #[inline]
-    fn meet_var_parts(&self, a: &[u64], b: &[u64], v: usize) -> u32 {
-        let (first, start, span) = self.var_spans[v];
-        (0..span)
-            .map(|k| (a[first + k] & b[first + k] & self.masks[start + k]).count_ones())
-            .sum()
-    }
-
-    /// A copy of this layout with the cube stride padded up to `words`
-    /// trailing zero words. The variable spans and masks are untouched and
+    /// This layout with the cube stride padded with trailing zero words up
+    /// to `words`. The variable spans and masks are untouched and
     /// the padded words of the pair mask are zero, so every masked
     /// operation ignores the padding, and the padded words of `full` are
     /// zero, so the cofactor body `(x | !p) & full` keeps them zero too —
     /// cubes that start zero-padded stay zero-padded through the whole
-    /// engine. The padded rung uses it to lift three-word domains onto the
-    /// monomorphized four-word rung.
-    pub(crate) fn padded_to(&self, words: usize) -> FlatDomain {
+    /// engine. The scratch's layout cache keeps a three-word domain's
+    /// layout padded this way, so the padded rung runs it on the
+    /// monomorphized four-word rung without a copy per call.
+    pub(crate) fn padded_to(mut self, words: usize) -> FlatDomain {
         debug_assert!(words >= self.words);
-        let mut fd = self.clone();
-        fd.full.resize(words, 0);
-        fd.pair_lo.resize(words, 0);
-        fd.words = words;
-        fd
+        self.full.resize(words, 0);
+        self.pair_lo.resize(words, 0);
+        self.words = words;
+        self
     }
 }
 
@@ -363,10 +348,10 @@ pub fn cube_cofactor_into(fd: &FlatDomain, a: &[u64], p: &[u64], out: &mut [u64]
 /// irredundant passes need. After the first minimization warms the pool,
 /// later calls reuse its buffers: the engine allocates nothing per cube or
 /// per recursion node. A call still makes a few fixed allocations (the
-/// layout of a domain other than the last one, the padded rung's layout
-/// copy, the unlimited budget `flat_minimized_len` builds, the output
-/// [`Cover`] of [`flat_espresso_bounded`]), and a larger cover may grow a
-/// pooled buffer. One scratch must not be shared
+/// layout of a domain other than the last one, the unlimited budget
+/// `flat_minimized_len` builds, the output [`Cover`] of
+/// [`flat_espresso_bounded`]), and a larger cover may grow a pooled
+/// buffer. One scratch must not be shared
 /// across threads; every long-lived consumer (the evaluation cache, the
 /// ENC baseline) owns its own.
 #[derive(Debug, Default)]
@@ -374,8 +359,8 @@ pub struct MinimizeScratch {
     free: Vec<Vec<u64>>,
     pairs: Vec<(usize, usize)>,
     flags: Vec<bool>,
-    /// EXPAND's blocking count per off-set cube.
-    counts: Vec<u32>,
+    /// EXPAND's non-full variables of the cube being raised.
+    vars: Vec<usize>,
     /// EXPAND's part weights: per part, the uncovered cubes holding it.
     weights: Vec<usize>,
     /// The counting sort's per-chunk keys and bucket offsets.
@@ -384,10 +369,11 @@ pub struct MinimizeScratch {
     /// The complement's per-node lists of branch results, one popped per
     /// recursion level and pushed back on return.
     lists: Vec<Vec<Vec<u64>>>,
-    /// The last domain layout, cached so back-to-back
-    /// minimizations over one domain (the common shape: a search loop
-    /// re-pricing covers) rebuild nothing. Keyed by the `Domain` handle;
-    /// the comparison is an `Arc` pointer check in the hot case.
+    /// The last domain layout (padded to four words for a three-word
+    /// domain), cached so back-to-back minimizations over one domain (the
+    /// common shape: a search loop re-pricing covers) rebuild nothing.
+    /// Keyed by the `Domain` handle; the comparison is an `Arc` pointer
+    /// check in the hot case.
     layout: Option<(Domain, FlatDomain)>,
 }
 
@@ -415,10 +401,12 @@ impl MinimizeScratch {
     }
 
     /// Takes the cached [`FlatDomain`] for `dom` (building it on a cold or
-    /// mismatched cache). Pair with [`MinimizeScratch::put_layout`].
+    /// mismatched cache), padded to four words for a three-word domain
+    /// ([`run_padded`]). Pair with [`MinimizeScratch::put_layout`].
     fn take_layout(&mut self, dom: &Domain) -> FlatDomain {
         match self.layout.take() {
             Some((d, fd)) if d == *dom => fd,
+            _ if dom.words() == 3 => FlatDomain::new(dom).padded_to(4),
             _ => FlatDomain::new(dom),
         }
     }
@@ -555,6 +543,21 @@ fn sort_expand_order(v: &mut [(usize, usize)]) {
             j -= 1;
         }
         v[j] = x;
+    }
+}
+
+/// EXPAND's tallies over the blocking rows of the variables `vars` (row
+/// `v` is `blocked[v * mw..]`): `one` gets the off-set cubes blocked on at
+/// least one of them, `two` those blocked on at least two.
+fn tally_blocked(blocked: &[u64], vars: &[usize], mw: usize, one: &mut [u64], two: &mut [u64]) {
+    one.fill(0);
+    two.fill(0);
+    for &v in vars {
+        let row = &blocked[v * mw..(v + 1) * mw];
+        for ((o, t), &b) in one.iter_mut().zip(two.iter_mut()).zip(row) {
+            *t |= *o & b;
+            *o |= b;
+        }
     }
 }
 
@@ -809,9 +812,9 @@ impl<S: Stride> MvCtx<'_, S> {
 
     /// Recursive complement, mirroring the legacy `compl_rec`: branch on the
     /// most binate variable, lift cubes common (verbatim) to every branch
-    /// complement, narrow the rest back to their branch part, and finish
-    /// with an scc pass (base cases return before scc, as in the legacy
-    /// code, so no counters fire for them).
+    /// complement, narrow the rest back to their branch part, and sort the
+    /// merge by descending part count. The merge is containment-free (the
+    /// proof is at the sort), so no scc pair loop runs.
     fn compl_rec(&self, cubes: &[u64], out: &mut Vec<u64>, scratch: &mut MinimizeScratch) {
         debug_assert!(out.is_empty());
         let w = self.w();
@@ -857,12 +860,9 @@ impl<S: Stride> MvCtx<'_, S> {
                     continue;
                 }
                 // r = c ∧ part_cube(v, p): variable v narrowed to {p}, every
-                // other variable untouched. Branch complements hold only
-                // valid cubes, so r is valid exactly when c admits part p
-                // (the legacy validity filter).
-                if c[qw] & qb == 0 {
-                    continue;
-                }
+                // other variable untouched. c has v full (see the proof
+                // below), so r is always valid.
+                debug_assert!(c[qw] & qb != 0, "complement: branch cube lacks its part");
                 let base = out.len();
                 out.extend_from_slice(c);
                 for k in 0..qspan {
@@ -872,7 +872,25 @@ impl<S: Stride> MvCtx<'_, S> {
             }
         }
         out.extend_from_slice(&lifted);
-        self.scc(out, scratch);
+        // No cube of this merge contains another, so a closing scc pass could
+        // only reorder it; the stable descending part-count sort is that
+        // order.
+        // * Each branch's input has v raised to full. The recursion never
+        //   branches on a variable that every cube fills, and
+        //   `cube_complement` skips full variables, so every cube of a
+        //   branch result has v full.
+        // * Base cases return containment-free lists (the full cube alone,
+        //   or one cube per non-full variable), so by induction every merge
+        //   does too.
+        // * Cubes narrowed to parts p ≠ q are disjoint on v, and narrowing
+        //   one branch's cubes to the same p keeps them containment-free.
+        // * A lifted cube L has v full and a narrowed cube does not (a
+        //   branching variable has at least two parts), so no narrowed cube
+        //   holds L. If L held c ∧ {p}, it would hold c, and L and c are
+        //   distinct cubes of branch p's containment-free result.
+        // Covers hold only valid cubes and cofactors of valid cubes stay
+        // valid, so this holds for every input.
+        sort_chunks_by_parts(out, w, true, scratch);
         scratch.give(lifted);
         for r in results.drain(..) {
             scratch.give(r);
@@ -896,20 +914,37 @@ impl<S: Stride> MvCtx<'_, S> {
     /// cube still meets no off-set cube, and every uncovered cube the
     /// result covers marked covered.
     ///
-    /// Legality is incremental (the blocking-matrix view of ESPRESSO-II):
-    /// per off-set cube the number of variables on which its meet with the
-    /// growing cube is empty, and a forbidden-part mask holding the
-    /// blocking literal of every off-set cube with a count of 1. A raise is
-    /// legal exactly when its part is not forbidden; accepting it lowers
-    /// the count of every off-set cube that holds the part and was blocked
-    /// on its variable. The weights are kept per part and lowered as cubes
-    /// become covered. Decisions and order are those of a full off-set
-    /// sweep per candidate part.
+    /// Legality comes from the ESPRESSO-II blocking matrix, read by column
+    /// over the `m` off-set cubes: `cols[q]` holds the off-set cubes with
+    /// part `q`. For each variable `v` the growing cube does not fill,
+    /// `B_v` holds the off-set cubes whose meet with it is empty on `v` (a
+    /// full variable blocks none), and `TWO` those blocked on two or more
+    /// variables. Raising part `p` of variable `u` would make the cube meet
+    /// an off-set cube exactly when one blocked on `u` alone holds `p`,
+    /// that is when `B_u ∧ ¬TWO ∧ cols[p]` is non-empty; an accepted raise
+    /// clears `cols[p]` from `B_u` and tallies `TWO` again. Every step
+    /// sweeps ⌈m/64⌉ words. The weights are kept per part and lowered as
+    /// cubes become covered. Decisions and order are those of a full
+    /// off-set sweep per candidate part.
     fn expand(&self, f: &mut Vec<u64>, off: &[u64], scratch: &mut MinimizeScratch) {
         let w = self.w();
         let fd = self.fd;
         sort_chunks_by_parts(f, w, false, scratch);
         let n = f.len() / w;
+        let m = off.len() / w;
+        debug_assert!(m >= 1, "expand: empty off-set");
+        let mw = m.div_ceil(64);
+        // the bits of the last word of an m-bit set that name off-set cubes
+        let tail = u64::MAX >> ((64 - m % 64) % 64);
+        let mut cols = scratch.take();
+        cols.resize(fd.total_parts * mw, 0);
+        for (j, o) in off.chunks_exact(w).enumerate() {
+            let (jw, jb) = (j / 64, 1u64 << (j % 64));
+            for_each_part(o.iter().copied(), |q| cols[q * mw + jw] |= jb);
+        }
+        // row `i` of a table of m-bit sets: `cols` by part, `blocked` by
+        // variable
+        let row = |i: usize| i * mw..(i + 1) * mw;
         let mut covered = std::mem::take(&mut scratch.flags);
         covered.clear();
         covered.resize(n, false);
@@ -920,8 +955,15 @@ impl<S: Stride> MvCtx<'_, S> {
         for c in f.chunks_exact(w) {
             for_each_part(c.iter().copied(), |p| weights[p] += 1);
         }
-        let mut counts = std::mem::take(&mut scratch.counts);
-        let mut forbidden = scratch.take();
+        let mut vars = std::mem::take(&mut scratch.vars);
+        // B_v; only the rows of the raised cube's non-full variables are
+        // written and read
+        let mut blocked = scratch.take();
+        blocked.resize(fd.num_vars * mw, 0);
+        let mut one = scratch.take();
+        one.resize(mw, 0);
+        let mut two = scratch.take();
+        two.resize(mw, 0);
         let mut result = scratch.take();
         let mut cand = scratch.take();
         for i in 0..n {
@@ -936,37 +978,40 @@ impl<S: Stride> MvCtx<'_, S> {
             let free = cand.iter().zip(&fd.full).map(|(&c, &f)| !c & f);
             for_each_part(free, |p| order.push((p, weights[p])));
             sort_expand_order(&mut order);
-            forbidden.clear();
-            forbidden.resize(w, 0);
-            counts.clear();
-            for o in off.chunks_exact(w) {
-                let count = fd.meet_empty_count(&cand, o, w);
-                // the cube lies in ON ∪ DC and the off-set is its complement
-                debug_assert!(count >= 1, "expand: cube meets the off-set");
-                if count == 1 {
-                    fd.or_on_empty_vars(&cand, o, &mut forbidden, w, |_, y| y);
-                }
-                counts.push(count as u32);
+            vars.clear();
+            vars.extend((0..fd.num_vars).filter(|&v| !self.var_is_full(&cand, v)));
+            for &v in &vars {
+                let b = &mut blocked[row(v)];
+                b.fill(0);
+                let (first, start, span) = fd.var_spans[v];
+                let lit = (0..span).map(|k| cand[first + k] & fd.masks[start + k]);
+                for_each_part(lit, |q| {
+                    let q = first * 64 + q;
+                    b.iter_mut().zip(&cols[row(q)]).for_each(|(x, &c)| *x |= c);
+                });
+                b.iter_mut().for_each(|x| *x = !*x);
+                b[mw - 1] &= tail;
             }
+            tally_blocked(&blocked, &vars, mw, &mut one, &mut two);
+            // the cube lies in ON ∪ DC and the off-set is its complement
+            debug_assert!(
+                one[..mw - 1].iter().all(|&x| x == u64::MAX) && one[mw - 1] == tail,
+                "expand: cube meets the off-set"
+            );
             for &(p, _) in order.iter() {
-                let (pw, pb) = (p / 64, 1u64 << (p % 64));
-                if forbidden[pw] & pb != 0 {
+                let u = fd.part_var[p];
+                let b = &mut blocked[row(u)];
+                let pc = &cols[row(p)];
+                if b.iter()
+                    .zip(&two)
+                    .zip(pc)
+                    .any(|((&x, &t), &c)| x & !t & c != 0)
+                {
                     continue;
                 }
-                cand[pw] |= pb;
-                let v = fd.part_var[p];
-                for (o, count) in off.chunks_exact(w).zip(counts.iter_mut()) {
-                    // the meet on `v` was empty before the raise exactly
-                    // when `p` is now its only part
-                    if o[pw] & pb == 0 || fd.meet_var_parts(&cand, o, v) != 1 {
-                        continue;
-                    }
-                    debug_assert!(*count >= 2, "expand: raised a forbidden part");
-                    *count -= 1;
-                    if *count == 1 {
-                        fd.or_on_empty_vars(&cand, o, &mut forbidden, w, |_, y| y);
-                    }
-                }
+                cand[p / 64] |= 1u64 << (p % 64);
+                b.iter_mut().zip(pc).for_each(|(x, &c)| *x &= !c);
+                tally_blocked(&blocked, &vars, mw, &mut one, &mut two);
             }
             for j in 0..n {
                 let fj = &f[j * w..(j + 1) * w];
@@ -980,8 +1025,11 @@ impl<S: Stride> MvCtx<'_, S> {
         std::mem::swap(f, &mut result);
         scratch.give(result);
         scratch.give(cand);
-        scratch.give(forbidden);
-        scratch.counts = counts;
+        scratch.give(two);
+        scratch.give(one);
+        scratch.give(blocked);
+        scratch.give(cols);
+        scratch.vars = vars;
         scratch.weights = weights;
         scratch.pairs = order;
         scratch.flags = covered;
@@ -1354,18 +1402,20 @@ fn espresso_chunks<S: Stride>(
     (f, budget.completion())
 }
 
-/// Runs the engine at its stride rung: the monomorphized 1/2/4-word
-/// rungs, three-word domains padded onto the 4-word rung ([`run_padded`]),
-/// and the dynamic-stride rung for wider domains.
+/// Runs the engine at the rung of the domain's true stride `words`: the
+/// monomorphized 1/2/4-word rungs, three-word domains padded onto the
+/// 4-word rung ([`run_padded`]; `fd` is then the padded layout), and the
+/// dynamic-stride rung for wider domains.
 fn run_stride(
     fd: &FlatDomain,
+    words: usize,
     on: &[u64],
     dc: &[u64],
     opts: &MinimizeOptions,
     budget: &Budget,
     scratch: &mut MinimizeScratch,
 ) -> (Vec<u64>, Completion) {
-    match fd.words() {
+    match words {
         1 => espresso_chunks(MvCtx { fd, s: FixedW::<1> }, on, dc, opts, budget, scratch),
         2 => espresso_chunks(MvCtx { fd, s: FixedW::<2> }, on, dc, opts, budget, scratch),
         3 => run_padded(fd, on, dc, opts, budget, scratch),
@@ -1376,10 +1426,11 @@ fn run_stride(
 
 /// The padded rung: a three-word domain runs on the monomorphized 4-word
 /// rung with a zero padding word per cube, so every word kernel is one
-/// straight-line 4-lane block instead of a runtime-length loop, and
-/// [`FlatDomain::padded_to`] guarantees the padding never influences a
-/// result. The padding is stripped again before returning, so callers only
-/// ever see the domain's true stride.
+/// straight-line 4-lane block instead of a runtime-length loop. `fd` is
+/// the layout padded to four words ([`FlatDomain::padded_to`]), which
+/// guarantees the padding never influences a result. The padding is
+/// stripped again before returning, so callers only ever see the domain's
+/// true stride.
 fn run_padded(
     fd: &FlatDomain,
     on_w: &[u64],
@@ -1388,7 +1439,7 @@ fn run_padded(
     budget: &Budget,
     scratch: &mut MinimizeScratch,
 ) -> (Vec<u64>, Completion) {
-    let fd = &fd.padded_to(4);
+    debug_assert_eq!(fd.words(), 4, "padded rung: layout not padded");
     let mut on_p = scratch.take();
     pad_stride(on_w, 3, 4, &mut on_p);
     let mut dc_p = scratch.take();
@@ -1437,7 +1488,7 @@ fn run_words(
     scratch: &mut MinimizeScratch,
 ) -> (Vec<u64>, Completion) {
     let fd = scratch.take_layout(dom);
-    let out = run_stride(&fd, on_w, dc_w, opts, budget, scratch);
+    let out = run_stride(&fd, dom.words(), on_w, dc_w, opts, budget, scratch);
     scratch.put_layout(dom, fd);
     out
 }
@@ -1574,10 +1625,11 @@ mod tests {
         assert_eq!(out.as_slice(), cons.words());
     }
 
-    /// The popcount meet test and EXPAND's blocking literals against the
-    /// per-variable span walk: two-part variables inside a word, two-part
-    /// variables straddling a word boundary (parts 63–64 and 127–128), and
-    /// the three-word layout the padded rung lifts to four words.
+    /// The popcount meet test and consensus's union on the empty variables
+    /// against the per-variable span walk: two-part variables inside a
+    /// word, two-part variables straddling a word boundary (parts 63–64 and
+    /// 127–128), and the three-word layout the padded rung lifts to four
+    /// words.
     #[test]
     fn popcount_meet_test_matches_the_per_variable_walk() {
         use crate::domain::DomainBuilder;
@@ -1606,7 +1658,7 @@ mod tests {
         for dom in &domains {
             let fd = FlatDomain::new(dom);
             let w = fd.words();
-            let padded = fd.padded_to(w.next_power_of_two());
+            let padded = fd.clone().padded_to(w.next_power_of_two());
             straddling += fd.walk_vars.iter().filter(|&&v| fd.parts[v] == 2).count();
             for case in 0..400 {
                 // dense cubes (mostly distance 0–2) and sparse ones
@@ -1633,11 +1685,11 @@ mod tests {
                 for &v in &empty {
                     let (first, start, span) = fd.var_spans[v];
                     for k in 0..span {
-                        want[first + k] |= b[first + k] & fd.masks[start + k];
+                        want[first + k] |= (a[first + k] | b[first + k]) & fd.masks[start + k];
                     }
                 }
                 let mut got = vec![0u64; w];
-                fd.or_on_empty_vars(&a, &b, &mut got, w, |_, y| y);
+                fd.or_on_empty_vars(&a, &b, &mut got, w);
                 assert_eq!(got, want);
 
                 let pad = |c: &[u64]| {

@@ -2,7 +2,12 @@
 //!
 //! Both algorithms follow ESPRESSO's scheme: pick the *most binate* variable,
 //! branch over its parts via the Shannon (cofactor) expansion, and recurse,
-//! with cheap structural checks cutting most branches early.
+//! with cheap structural checks cutting most branches early. The
+//! complement's merges cannot produce a contained cube (the proof is in
+//! `compl_rec`), so they are sorted by descending part count and never
+//! scanned for containment.
+
+use std::cmp::Reverse;
 
 use crate::cover::Cover;
 use crate::cube::Cube;
@@ -117,12 +122,6 @@ pub fn cube_complement(dom: &Domain, c: &Cube) -> Vec<Cube> {
     out
 }
 
-fn scc_list(dom: &Domain, mut cubes: Vec<Cube>) -> Vec<Cube> {
-    let mut cover = Cover::from_cubes(dom, cubes.drain(..));
-    cover.scc();
-    cover.cubes().to_vec()
-}
-
 fn compl_rec(dom: &Domain, cubes: &[Cube]) -> Vec<Cube> {
     if cubes.is_empty() {
         return vec![Cube::full(dom)];
@@ -160,19 +159,37 @@ fn compl_rec(dom: &Domain, cubes: &[Cube]) -> Vec<Cube> {
                 if lifted.contains(c) {
                     continue;
                 }
+                // c has v full (see the proof below), so c ∧ {p} is valid.
                 let r = c.and(&pc);
-                if r.is_valid(dom) {
-                    out.push(r);
-                }
+                debug_assert!(r.is_valid(dom), "complement: branch cube lacks its part");
+                out.push(r);
             }
         }
         out.extend(lifted);
     }
-    scc_list(dom, out)
+    // No cube of this merge contains another, so a closing scc pass could
+    // only reorder it; the stable descending part-count sort is that order.
+    // * Each branch's input has v raised to full. The recursion never
+    //   branches on a variable that every cube fills, and `cube_complement`
+    //   skips full variables, so every cube of a branch result has v full.
+    // * Base cases return containment-free lists (the full cube alone, or
+    //   one cube per non-full variable), so by induction every merge does
+    //   too.
+    // * Cubes narrowed to parts p ≠ q are disjoint on v, and narrowing one
+    //   branch's cubes to the same p keeps them containment-free.
+    // * A lifted cube L has v full and a narrowed cube does not (a branching
+    //   variable has at least two parts), so no narrowed cube holds L. If L
+    //   held c ∧ {p}, it would hold c, and L and c are distinct cubes of
+    //   branch p's containment-free result.
+    // Covers hold only valid cubes and cofactors of valid cubes stay valid,
+    // so this holds for every input.
+    out.sort_by_key(|c| Reverse(c.part_count()));
+    out
 }
 
 /// The complement of a cover, computed by the unate recursive paradigm with
-/// branch lifting and single-cube containment at each merge.
+/// branch lifting. Each merge is containment-free by construction and is
+/// only sorted, never passed through single-cube containment.
 ///
 /// The result is a (generally irredundant but not necessarily minimal) cover
 /// of exactly the points not covered by `f`.

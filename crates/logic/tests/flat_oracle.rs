@@ -3,15 +3,18 @@
 //! and multi-valued domains, a full one-word binary domain (the last pair
 //! at bits 62–63), two- and four-word binary domains, the dynamic-stride
 //! fallback, and a three-word multi-valued domain padded onto the
-//! four-word rung. Covers must be equal cube for cube. The randomized
-//! counterpart, with budgets and traces, is `prop_flat_cover.rs`.
+//! four-word rung, plus parity functions whose off-sets end inside, on and
+//! past a 64-bit word (EXPAND's column bitsets). Covers must be equal cube
+//! for cube. The randomized counterpart, with budgets and traces, is
+//! `prop_flat_cover.rs`.
 
 // Tests are exempt from the panic-freedom policy; clippy's in-tests
 // exemption misses integration-test helpers, so waive it explicitly.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
 use picola_logic::{
-    flat_espresso, Cover, Cube, Domain, DomainBuilder, GlobalMinimizeCache, MinimizeCache,
+    complement, flat_espresso, Cover, Cube, Domain, DomainBuilder, GlobalMinimizeCache,
+    MinimizeCache,
 };
 use picola_oracle::espresso;
 
@@ -35,6 +38,24 @@ fn flat_matches_legacy_on_minterm_covers() {
     let legacy = espresso(&on, &dc);
     let flat = flat_espresso(&on, &dc);
     assert_eq!(legacy, flat);
+}
+
+/// Even parity over 6, 7 and 8 binary variables: no two odd minterms are
+/// adjacent, so the off-set is exactly the 32, 64 and 128 odd minterms.
+/// EXPAND's per-part column bitsets over it then end inside a word, end
+/// exactly on a word boundary, and span two words.
+#[test]
+fn flat_matches_legacy_on_parity_covers() {
+    for (nv, off_len) in [(6usize, 32usize), (7, 64), (8, 128)] {
+        let dom = Domain::binary(nv);
+        let even: Vec<u32> = (0..1u32 << nv)
+            .filter(|x| x.count_ones() % 2 == 0)
+            .collect();
+        let on = cover_from_codes(&dom, nv, &even);
+        let dc = Cover::empty(&dom);
+        assert_eq!(complement(&on).len(), off_len, "nv={nv}");
+        assert_eq!(espresso(&on, &dc), flat_espresso(&on, &dc), "nv={nv}");
+    }
 }
 
 #[test]

@@ -75,12 +75,18 @@ fn brute_equal(f: &Cover, g: &Cover) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    // Both complement tests also check that the result is containment-free:
+    // the complement's merges sort without an scc pair loop, which is exact
+    // only because no merge can produce a contained cube.
     #[test]
     fn complement_partitions_space(f in binary_cover(4, 6)) {
         let g = complement(&f);
         for pt in Cover::enumerate_points(f.domain()) {
             prop_assert_ne!(f.covers_point(&pt), g.covers_point(&pt));
         }
+        let mut h = g.clone();
+        h.scc();
+        prop_assert_eq!(h.len(), g.len());
     }
 
     #[test]
@@ -89,6 +95,9 @@ proptest! {
         for pt in Cover::enumerate_points(f.domain()) {
             prop_assert_ne!(f.covers_point(&pt), g.covers_point(&pt));
         }
+        let mut h = g.clone();
+        h.scc();
+        prop_assert_eq!(h.len(), g.len());
     }
 
     #[test]
