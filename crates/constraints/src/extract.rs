@@ -9,7 +9,9 @@
 use crate::constraint::GroupConstraint;
 use crate::symbols::SymbolSet;
 use picola_fsm::SymbolicCover;
-use picola_logic::{flat_espresso_with, Cover, MinimizeOptions};
+use picola_logic::{
+    flat_espresso_bounded, Budget, Completion, Cover, MinimizeOptions, MinimizeScratch,
+};
 use std::collections::BTreeMap;
 
 /// How the symbolic cover is minimized before constraints are read off.
@@ -38,7 +40,18 @@ pub struct ExtractOptions {
 /// Extracts face constraints from `sc` with default options (full
 /// multi-valued minimization).
 pub fn extract_constraints(sc: &SymbolicCover) -> Vec<GroupConstraint> {
-    extract_constraints_with(sc, &ExtractOptions::default())
+    extract_constraints_bounded(sc, &Budget::unlimited()).0
+}
+
+/// [`extract_constraints`] under `budget`. The minimization ticks
+/// `espresso.iter`; when the budget runs out it stops early, and the
+/// constraints are read off a less merged cover, so they may be fewer. The
+/// second component says whether that happened.
+pub fn extract_constraints_bounded(
+    sc: &SymbolicCover,
+    budget: &Budget,
+) -> (Vec<GroupConstraint>, Completion) {
+    extract_bounded(sc, &ExtractOptions::default(), budget)
 }
 
 /// Extracts face constraints from the symbolic cover.
@@ -53,23 +66,28 @@ pub fn extract_constraints_with(
     sc: &SymbolicCover,
     opts: &ExtractOptions,
 ) -> Vec<GroupConstraint> {
+    extract_bounded(sc, opts, &Budget::unlimited()).0
+}
+
+fn extract_bounded(
+    sc: &SymbolicCover,
+    opts: &ExtractOptions,
+    budget: &Budget,
+) -> (Vec<GroupConstraint>, Completion) {
     let n = sc.num_states;
     let sv = sc.state_var();
     let dom = &sc.domain;
 
-    let minimized: Cover = match opts.method {
-        ExtractMethod::Espresso => {
-            let o = MinimizeOptions::default();
-            flat_espresso_with(&sc.on, &sc.dc, &o)
-        }
-        ExtractMethod::Quick => {
-            let o = MinimizeOptions {
-                max_iterations: 0,
-                use_essentials: false,
-                ..MinimizeOptions::default()
-            };
-            flat_espresso_with(&sc.on, &sc.dc, &o)
-        }
+    let espresso = |o: &MinimizeOptions| {
+        flat_espresso_bounded(&sc.on, &sc.dc, o, budget, &mut MinimizeScratch::new())
+    };
+    let (minimized, completion): (Cover, Completion) = match opts.method {
+        ExtractMethod::Espresso => espresso(&MinimizeOptions::default()),
+        ExtractMethod::Quick => espresso(&MinimizeOptions {
+            max_iterations: 0,
+            use_essentials: false,
+            ..MinimizeOptions::default()
+        }),
         ExtractMethod::Merge => {
             // Group by all non-state variables: union the state literals.
             let mut groups: BTreeMap<Vec<u64>, SymbolSet> = BTreeMap::new();
@@ -106,7 +124,7 @@ pub fn extract_constraints_with(
                 }
                 merged.push(cube);
             }
-            merged
+            (merged, budget.completion())
         }
     };
 
@@ -132,7 +150,7 @@ pub fn extract_constraints_with(
             .then(a.len().cmp(&b.len()))
             .then(a.members().to_vec().cmp(&b.members().to_vec()))
     });
-    out
+    (out, completion)
 }
 
 #[cfg(test)]
@@ -185,6 +203,17 @@ mod tests {
         let a = extract_constraints(&sc);
         let b = extract_constraints(&sc);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bounded_extraction_reports_a_cut_minimization() {
+        let sc = symbolic_cover(&picola_fsm::benchmark_fsm("lion9").unwrap());
+        let (full, done) = extract_constraints_bounded(&sc, &Budget::unlimited());
+        assert!(done.is_complete());
+        assert_eq!(full, extract_constraints(&sc));
+        let _guard = picola_logic::chaos::arm("espresso.iter", 0);
+        let (_, cut) = extract_constraints_bounded(&sc, &Budget::unlimited());
+        assert!(!cut.is_complete());
     }
 
     #[test]

@@ -32,7 +32,10 @@ pub use compat::{nv_compatible, Geometry};
 pub use embed::{embed_exact, minimal_embedding_length, EmbedOutcome};
 pub use constraint::{ConstraintKind, Dichotomy, GroupConstraint};
 pub use encoding::{CodeCube, Encoding, EncodingError};
-pub use extract::{extract_constraints, extract_constraints_with, ExtractMethod, ExtractOptions};
+pub use extract::{
+    extract_constraints, extract_constraints_bounded, extract_constraints_with, ExtractMethod,
+    ExtractOptions,
+};
 pub use matrix::{pack_column, ConstraintMatrix, ConstraintStatus, TrackedConstraint};
 pub use picola_fsm::min_code_length;
 pub use symbols::SymbolSet;

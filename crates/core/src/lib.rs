@@ -72,7 +72,8 @@ pub use refine::{CandCursor, CodeTable, RefineCand, RefineScratch};
 pub use report::RunReport;
 pub use solve::solve_column;
 pub use store::{
-    canonical_job_bytes, job_key, key_for, ResultStore, StoreKey, StoreStats, StoredResult,
+    canonical_cover_bytes, canonical_job_bytes, cover_key, job_key, key_for, ResultStore, StoreKey,
+    StoreStats, StoredResult,
 };
 pub use validity::ValidityTracker;
 

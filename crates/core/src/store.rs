@@ -1,15 +1,18 @@
 //! Content-addressed on-disk store of minimized encoding results.
 //!
 //! Repeated bench/CI/daemon runs re-minimize the same instances from
-//! scratch; this store makes the second run nearly free. The key is the
-//! FNV-1a digest of the *canonical job bytes* (symbol count, optional code
-//! length override, and the sorted member list of every constraint — see
-//! [`canonical_job_bytes`]), so two textually different descriptions of
-//! the same job share one entry; the value is a compact binary
-//! [`StoredResult`] record. A store directory holds one append-only log,
-//! `results.log`, of checked frames, each carrying one key and its record,
-//! plus an in-memory index from key to record (DESIGN.md §18 has the
-//! byte-layout tables).
+//! scratch; this store makes the second run nearly free. A key is the
+//! FNV-1a digest of one of two canonical byte forms. The bench keys a
+//! constraint problem by its *canonical job bytes* (symbol count, optional
+//! code length override, and the sorted member list of every constraint —
+//! see [`canonical_job_bytes`]). The daemon keys a request by its parsed
+//! *symbolic cover* ([`canonical_cover_bytes`]) before it extracts any
+//! constraints, so a repeat skips extraction and a KISS2 and an MV-PLA
+//! submission of the same machine share one entry. The value is a compact
+//! binary [`StoredResult`] record. A store directory holds one append-only
+//! log, `results.log`, of checked frames, each carrying one key and its
+//! record, plus an in-memory index from key to record (DESIGN.md §18 has
+//! the byte-layout tables).
 //!
 //! Durability discipline:
 //!
@@ -45,7 +48,7 @@
 use crate::engine::{Job, JobOutput};
 use picola_constraints::{Encoding, GroupConstraint};
 use picola_logic::binio::{fnv1a64, ByteReader, ByteWriter, Fnv64};
-use picola_logic::chaos;
+use picola_logic::{chaos, Cover, Domain, VarKind};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -57,6 +60,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub const KIND_JOB: u8 = 1;
 /// Record-kind tag of a stored result record.
 pub const KIND_RESULT: u8 = 2;
+/// Record-kind tag of canonical symbolic-cover bytes (digest input, never
+/// persisted). Kinds 3 and 4 are the bench crate's artifacts.
+pub const KIND_COVER: u8 = 5;
 
 /// Upper bound accepted for symbol counts / constraint counts when
 /// decoding store records — far above anything the encoders accept, low
@@ -113,6 +119,45 @@ pub fn job_key(n: usize, nv_override: Option<usize>, constraints: &[GroupConstra
     let mut h = Fnv64::new();
     h.update(&bytes);
     StoreKey(h.finish())
+}
+
+/// Canonical binary form of a symbolic cover, the daemon's key before
+/// extraction: versioned header, the symbol variable's index, the variable
+/// count, each variable's kind tag and part count, then the on-set and the
+/// dc-set, each as its cube count and every cube's words. `on` and `dc` are
+/// covers over `dom`. Variable names are left out. Cube order is kept:
+/// ESPRESSO is order-sensitive, so reordered rows may extract different
+/// constraints and are a different job.
+#[must_use]
+pub fn canonical_cover_bytes(dom: &Domain, on: &Cover, dc: &Cover, symbol_var: usize) -> Vec<u8> {
+    let words = (on.len() + dc.len()) * dom.words();
+    let mut w = ByteWriter::with_capacity(16 + dom.num_vars() * 2 + words * 9);
+    w.header(KIND_COVER);
+    w.varint(symbol_var as u64);
+    w.varint(dom.num_vars() as u64);
+    for var in dom.vars() {
+        w.u8(match var.kind() {
+            VarKind::Binary => 0,
+            VarKind::Multi => 1,
+            VarKind::Output => 2,
+        });
+        w.varint(var.parts() as u64);
+    }
+    for cover in [on, dc] {
+        w.varint(cover.len() as u64);
+        for cube in cover.iter() {
+            for &word in cube.words() {
+                w.varint(word);
+            }
+        }
+    }
+    w.into_bytes()
+}
+
+/// The content address of a symbolic cover (see [`canonical_cover_bytes`]).
+#[must_use]
+pub fn cover_key(dom: &Domain, on: &Cover, dc: &Cover, symbol_var: usize) -> StoreKey {
+    StoreKey(fnv1a64(&canonical_cover_bytes(dom, on, dc, symbol_var)))
 }
 
 /// The content address of a [`Job`], or `None` for job kinds the store
@@ -599,6 +644,45 @@ mod tests {
         );
         let c = [GroupConstraint::new(SymbolSet::from_members(n, [1, 2, 6]))];
         assert_ne!(job_key(n, None, &a), job_key(n, None, &c));
+    }
+
+    /// The canonical bytes and key of the MV-PLA covers `on` and `dc`
+    /// under `header`, with `symbol_var` as the symbol variable.
+    fn mv_key(header: &str, on: &[&str], dc: &[&str], symbol_var: usize) -> (Vec<u8>, StoreKey) {
+        let parse = |rows: &[&str]| {
+            let text = format!("{header}\n{}\n", rows.join("\n"));
+            picola_logic::parse_mv_pla(&text).unwrap()
+        };
+        let (dom, on) = parse(on);
+        let (_, dc) = parse(dc);
+        (
+            canonical_cover_bytes(&dom, &on, &dc, symbol_var),
+            cover_key(&dom, &on, &dc, symbol_var),
+        )
+    }
+
+    #[test]
+    fn cover_key_keeps_cube_order_sets_and_shape() {
+        let header = ".mv 3 1 3 4";
+        let on = ["0 100 1000", "1 010 0100", "- 001 0011"];
+        let dc = ["1 110 0001"];
+        let (bytes, key) = mv_key(header, &on, &dc, 1);
+        assert_eq!(mv_key(header, &on, &dc, 1).1, key, "equal inputs, equal keys");
+        let moved = mv_key(header, &on[..2], &["- 001 0011", dc[0]], 1).1;
+        assert_ne!(moved, key, "a cube moved from on to dc");
+        let swapped = mv_key(header, &[on[1], on[0], on[2]], &dc, 1).1;
+        assert_ne!(swapped, key, "two on-set cubes swapped");
+        assert_ne!(mv_key(header, &on, &dc, 2).1, key, "another symbol variable");
+        let wider = mv_key(
+            ".mv 3 1 4 4",
+            &["0 1000 1000", "1 0100 0100", "- 0010 0011"],
+            &["1 1100 0001"],
+            1,
+        );
+        assert_ne!(wider.1, key, "one more part on the symbol variable");
+        let mut r = ByteReader::new(&bytes);
+        assert!(r.header(KIND_COVER).is_ok());
+        assert!(ByteReader::new(&bytes).header(KIND_JOB).is_err());
     }
 
     #[test]

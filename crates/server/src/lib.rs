@@ -18,6 +18,11 @@
 //! * minimization warmth is shared across requests through the engine's
 //!   [`GlobalMinimizeCache`] without ever changing results (exact
 //!   order-sensitive keying; poisoned shards degrade to honest misses);
+//! * with a result store ([`ServerConfig::store_dir`]) a job runs parse →
+//!   cover key → lookup, and only a miss goes on to extraction → engine →
+//!   insert: the key is the parsed symbolic cover, so a repeat costs a
+//!   parse, a digest and one store read, and a result whose extraction or
+//!   engine run degraded answers `degraded` and is never stored;
 //! * shutdown drains: in-flight jobs finish or degrade, queued jobs run,
 //!   new jobs are refused, and every thread is joined — no leaks.
 //!
@@ -40,12 +45,12 @@ pub use protocol::{JobKind, JobRequest, JobResponse, Status};
 
 use crate::json::Object;
 use crate::protocol::{CODE_INTERNAL, CODE_INVALID, CODE_OK, CODE_PARSE, CODE_TRANSIENT};
-use picola_constraints::extract_constraints;
+use picola_constraints::extract_constraints_bounded;
 use picola_core::engine::{EngineConfig, EngineHandle, Job, JobOutput};
-use picola_core::store::{key_for, ResultStore, StoredResult};
+use picola_core::store::{cover_key, ResultStore, StoredResult};
 use picola_core::PicolaError;
-use picola_fsm::{parse_kiss, symbolic_cover};
-use picola_logic::{chaos, parse_mv_pla, Budget, CacheStats, Completion};
+use picola_fsm::{parse_kiss, symbolic_cover, SymbolicCover};
+use picola_logic::{chaos, parse_mv_pla, Budget, CacheStats, Completion, Cover, Domain};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -78,9 +83,12 @@ pub struct ServerConfig {
     /// options).
     pub engine: EngineConfig,
     /// Content-addressed result store directory (`None` = no persistent
-    /// store). A warm entry answers an encode job without touching the
-    /// engine; store faults (including the `store.io` chaos point)
-    /// degrade to recomputation, never to a wrong or dropped answer.
+    /// store). Entries are keyed on the job's parsed symbolic cover, so a
+    /// warm entry answers an encode job before constraint extraction and
+    /// without touching the engine, in either submission format; only
+    /// complete results are stored. Store faults (including the
+    /// `store.io` chaos point) degrade to recomputation, never to a wrong
+    /// or dropped answer.
     pub store_dir: Option<String>,
 }
 
@@ -615,9 +623,10 @@ fn job_budget(config: &ServerConfig, req: &JobRequest) -> Budget {
     budget
 }
 
-/// Parses the payload, runs the engine, and shapes the result body.
-/// Failures come back as complete terminal responses so the caller only
-/// forwards them.
+/// Parses the payload into a symbolic cover, answers from the store when
+/// it holds the cover's key, and otherwise extracts the constraints, runs
+/// the engine and stores the result. Failures come back as complete
+/// terminal responses so the caller only forwards them.
 fn execute(
     shared: &Arc<Shared>,
     req: &JobRequest,
@@ -630,28 +639,23 @@ fn execute(
                 .uint("error_line", line as u64),
         )
     };
-    let (n, constraints) = match req.kind {
+    let sc = match req.kind {
         JobKind::EncodeKiss => {
             let fsm = parse_kiss("job", &req.payload)
                 .map_err(|e| parse_err(e.line(), e.to_string()))?;
-            let constraints = extract_constraints(&symbolic_cover(&fsm));
-            (fsm.num_states(), constraints)
+            symbolic_cover(&fsm)
         }
         JobKind::EncodeMvPla => {
             let (dom, cover) = parse_mv_pla(&req.payload)
                 .map_err(|e| parse_err(e.line(), e.to_string()))?;
-            let Some((n, constraints)) = mvpla_constraints(&dom, &cover) else {
-                return Err(JobResponse::terminal(
-                    req.id.clone(),
-                    Status::Error,
-                    CODE_INVALID,
+            mvpla_cover(dom, cover).ok_or_else(|| {
+                JobResponse::terminal(req.id.clone(), Status::Error, CODE_INVALID).with_body(
+                    Object::new().str(
+                        "error",
+                        "payload has no multi-valued symbol variable to encode",
+                    ),
                 )
-                .with_body(Object::new().str(
-                    "error",
-                    "payload has no multi-valued symbol variable to encode",
-                )));
-            };
-            (n, constraints)
+            })?
         }
         // Inline kinds never reach the queue.
         JobKind::Ping | JobKind::Stats | JobKind::Shutdown => {
@@ -661,6 +665,7 @@ fn execute(
             )
         }
     };
+    let n = sc.num_states;
     if n < 2 {
         return Err(
             JobResponse::terminal(req.id.clone(), Status::Error, CODE_INVALID).with_body(
@@ -668,65 +673,42 @@ fn execute(
             ),
         );
     }
-    let job = Job::Encode { n, constraints };
-    // Content-addressed store: a warm entry (always a *complete* result —
-    // degraded outputs are never persisted) answers without computing. A
-    // miss of any flavour — absent, corrupt, injected `store.io` fault —
-    // falls through to the engine, and the fresh result is persisted for
-    // the next identical job.
-    let store_key = shared.store.as_ref().and_then(|_| key_for(&job, None));
-    if let (Some(store), Some(key)) = (shared.store.as_ref(), store_key) {
-        if let Some(stored) = store.lookup(key) {
-            let codes = stored
-                .codes
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            let body = Object::new()
-                .uint("n", n as u64)
-                .uint("nv", stored.nv as u64)
-                .str("codes", codes)
-                .uint("cubes", stored.total_cubes as u64)
-                .uint("satisfied", stored.satisfied as u64)
-                .uint("evaluated", stored.evaluated as u64);
-            return Ok((body, Completion::Complete));
+    // Content-addressed store, keyed on the parsed symbolic cover so a
+    // repeat is answered before extraction. A warm entry is always a
+    // *complete* result; a miss of any flavour — absent, corrupt, injected
+    // `store.io` fault — falls through to extraction and the engine.
+    let stored = shared
+        .store
+        .as_ref()
+        .map(|store| (store, cover_key(&sc.domain, &sc.on, &sc.dc, sc.state_var())));
+    if let Some((store, key)) = stored {
+        if let Some(hit) = store.lookup(key) {
+            return Ok((result_body(n, &hit), Completion::Complete));
         }
     }
+    // Extraction runs unbounded, but a chaos fault can still cut it short:
+    // the answer is then `degraded` and never stored, since the store
+    // holds only what an unbounded run produces.
+    let (constraints, extracted) = extract_constraints_bounded(&sc, &Budget::unlimited());
+    let job = Job::Encode { n, constraints };
     match shared.engine.run(&job, budget) {
         Ok(JobOutput::Encoded {
             encoding,
             evaluation,
             completion,
         }) => {
-            if completion.is_complete() {
-                if let (Some(store), Some(key)) = (shared.store.as_ref(), store_key) {
-                    store.insert(
-                        key,
-                        &StoredResult {
-                            nv: encoding.nv(),
-                            codes: encoding.codes().to_vec(),
-                            total_cubes: evaluation.total_cubes,
-                            satisfied: evaluation.satisfied,
-                            evaluated: evaluation.evaluated,
-                        },
-                    );
-                }
+            let completion = extracted.and(completion);
+            let result = StoredResult {
+                nv: encoding.nv(),
+                codes: encoding.into_codes(),
+                total_cubes: evaluation.total_cubes,
+                satisfied: evaluation.satisfied,
+                evaluated: evaluation.evaluated,
+            };
+            if let (Some((store, key)), true) = (stored, completion.is_complete()) {
+                store.insert(key, &result);
             }
-            let codes = encoding
-                .codes()
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            let body = Object::new()
-                .uint("n", n as u64)
-                .uint("nv", encoding.nv() as u64)
-                .str("codes", codes)
-                .uint("cubes", evaluation.total_cubes as u64)
-                .uint("satisfied", evaluation.satisfied as u64)
-                .uint("evaluated", evaluation.evaluated as u64);
-            Ok((body, completion))
+            Ok((result_body(n, &result), completion))
         }
         Ok(JobOutput::Evaluated { .. }) => Err(JobResponse::terminal(
             req.id.clone(),
@@ -749,33 +731,48 @@ fn execute(
     }
 }
 
-/// Derives an input-encoding problem from an MV PLA: the first
-/// multi-valued (non-output, non-binary) variable is the symbol set, and
-/// the cover is fed through the exact constraint-extraction pipeline the
-/// KISS2 path uses — [`extract_constraints`] minimizes with multi-valued
-/// ESPRESSO first (merging cubes is what *creates* group literals; a raw
-/// symbolic cover has one symbol per cube and would yield no
-/// constraints), then dedups, weights, and orders the extracted groups.
-/// The same machine submitted in either format therefore poses the same
-/// encoding problem. Returns `None` when no symbol variable exists.
-fn mvpla_constraints(
-    dom: &picola_logic::Domain,
-    cover: &picola_logic::Cover,
-) -> Option<(usize, Vec<picola_constraints::GroupConstraint>)> {
+/// The answer body of an encode job over `n` symbols, the same whether
+/// the result was computed or read from the store.
+fn result_body(n: usize, result: &StoredResult) -> Object {
+    let codes = result
+        .codes
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    Object::new()
+        .uint("n", n as u64)
+        .uint("nv", result.nv as u64)
+        .str("codes", codes)
+        .uint("cubes", result.total_cubes as u64)
+        .uint("satisfied", result.satisfied as u64)
+        .uint("evaluated", result.evaluated as u64)
+}
+
+/// Reads an MV PLA as the symbolic cover of an input-encoding problem: the
+/// first multi-valued (non-output, non-binary) variable is the symbol set.
+/// The cover then takes the path a KISS2 machine's does —
+/// [`extract_constraints_bounded`] minimizes with multi-valued ESPRESSO
+/// first (merging cubes is what *creates* group literals; a raw symbolic
+/// cover has one symbol per cube and would yield no constraints), then
+/// dedups, weights, and orders the extracted groups. The same machine
+/// submitted in either format therefore poses the same encoding problem
+/// and has the same store key. Returns `None` when no symbol variable
+/// exists.
+fn mvpla_cover(dom: Domain, on: Cover) -> Option<SymbolicCover> {
     let sv = (0..dom.num_vars())
         .find(|&v| dom.var(v).parts() > 2 && Some(v) != dom.output_var())?;
     let n = dom.var(sv).parts();
-    let sc = picola_fsm::SymbolicCover {
-        domain: dom.clone(),
-        on: cover.clone(),
-        dc: picola_logic::Cover::empty(dom),
+    Some(SymbolicCover {
+        num_outputs: dom
+            .output_var()
+            .map_or(0, |ov| dom.var(ov).parts().saturating_sub(n)),
+        dc: Cover::empty(&dom),
+        domain: dom,
+        on,
         num_states: n,
         // `SymbolicCover::state_var()` is `num_inputs`: every variable
         // before the symbol one is a binary input by construction of `sv`.
         num_inputs: sv,
-        num_outputs: dom
-            .output_var()
-            .map_or(0, |ov| dom.var(ov).parts().saturating_sub(n)),
-    };
-    Some((n, extract_constraints(&sc)))
+    })
 }

@@ -130,8 +130,9 @@ submit    <addr> <file>    submit a .kiss2 / .mv PLA file to a daemon and
 --workers N        serve: worker threads in the job pool (default 2)
 --queue-depth N    serve: admission-control queue bound (default 16)
 --cache-capacity N serve: shared minimization-cache entry bound
---store DIR        serve: content-addressed result store directory; warm
-                   entries answer repeat jobs without recomputing
+--store DIR        serve: content-addressed result store directory, keyed
+                   on each job's parsed symbolic cover; a repeat job is
+                   answered from it before constraint extraction
 --batch FILE       submit: stream every job file listed in FILE over one
                    connection, one response frame per job
 --dimacs P         sat: also write the CNF compiled at the final cost bound

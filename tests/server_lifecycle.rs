@@ -480,6 +480,135 @@ fn store_warm_repeat_answers_identically() {
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 
+/// A fresh, empty result-store directory named after `tag`.
+fn store_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("picola-lifecycle-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn store_config(dir: &std::path::Path) -> ServerConfig {
+    ServerConfig {
+        store_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    }
+}
+
+/// The store key is the parsed symbolic cover, not the payload text or the
+/// request kind: the fully specified machine of
+/// `mvpla_and_kiss_submissions_agree`, sent as KISS2 and then as its
+/// MV-PLA cover, is one store entry.
+#[test]
+fn store_hits_across_submission_formats() {
+    let _lock = chaos_lock();
+    let dir = store_dir("formats");
+    let handle = start_server(store_config(&dir));
+    let mut client = client_for(&handle);
+    let mut kiss_text = String::from(".i 1\n.o 1\n");
+    for s in 0..8u32 {
+        let a = (s + 1) % 8;
+        let b = (s * 3 + 2) % 8;
+        kiss_text.push_str(&format!("0 st{s} st{a} {}\n", s % 2));
+        kiss_text.push_str(&format!("1 st{s} st{b} {}\n", (s + 1) % 2));
+    }
+    let fsm = picola::fsm::parse_kiss("full", &kiss_text).expect("fully specified");
+    let sc = picola::fsm::symbolic_cover(&fsm);
+    let kiss = client
+        .submit(&JobRequest::new("k", JobKind::EncodeKiss, write_kiss(&fsm)))
+        .expect("kiss job");
+    let mv = client
+        .submit(&JobRequest::new(
+            "m",
+            JobKind::EncodeMvPla,
+            picola::logic::write_mv_pla(&sc.on),
+        ))
+        .expect("mv job");
+    assert_eq!(kiss.response.status, Some(Status::Ok), "{:?}", kiss.response);
+    assert_eq!(mv.response.status, Some(Status::Ok), "{:?}", mv.response);
+    assert_eq!(mv.response.body.get_str("codes"), kiss.response.body.get_str("codes"));
+    for field in ["n", "nv", "cubes", "satisfied", "evaluated"] {
+        assert_eq!(
+            mv.response.body.get_u64(field),
+            kiss.response.body.get_u64(field),
+            "{field}"
+        );
+    }
+    let stats = handle.shutdown();
+    assert_eq!(stats.store_hits, 1, "the MV-PLA request must hit the KISS2 entry");
+    assert_eq!(stats.store_misses, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store hit answers before extraction: with every `espresso.iter` tick
+/// armed to fail, a warm repeat still answers `ok`, with the cold codes,
+/// and no minimization runs.
+#[test]
+fn store_hit_runs_no_minimization() {
+    let _lock = chaos_lock();
+    let dir = store_dir("no-espresso");
+    let handle = start_server(store_config(&dir));
+    let mut client = client_for(&handle);
+    let payload = kiss_payload("lion9");
+    let cold = client
+        .submit(&JobRequest::new("c", JobKind::EncodeKiss, payload.clone()))
+        .expect("cold job");
+    assert_eq!(cold.response.status, Some(Status::Ok), "{:?}", cold.response);
+    let (warm, fired) = {
+        let _guard = chaos::arm_global("espresso.iter", 0);
+        let warm = client.submit(&JobRequest::new("w", JobKind::EncodeKiss, payload));
+        (warm, chaos::global_times_fired())
+    };
+    let warm = warm.expect("warm job");
+    assert_eq!(warm.response.status, Some(Status::Ok), "{:?}", warm.response);
+    assert_eq!(warm.response.body.get_str("codes"), cold.response.body.get_str("codes"));
+    assert_eq!(fired, 0, "a store hit must not minimize");
+    let stats = handle.shutdown();
+    assert_eq!((stats.store_hits, stats.store_misses), (1, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An extraction cut short by a fault answers `degraded` and stores
+/// nothing: the next, fault-free request misses and answers what a
+/// store-less server answers.
+#[test]
+fn extraction_fault_is_degraded_and_never_stored() {
+    let _lock = chaos_lock();
+    let payload = kiss_payload("lion9");
+    let plain = start_server(ServerConfig::default());
+    let reference = client_for(&plain)
+        .submit(&JobRequest::new("r", JobKind::EncodeKiss, payload.clone()))
+        .expect("store-less job");
+    plain.shutdown();
+    assert_eq!(reference.response.status, Some(Status::Ok));
+
+    let dir = store_dir("extract-fault");
+    let handle = start_server(store_config(&dir));
+    let mut client = client_for(&handle);
+    let (faulted, fired) = {
+        let _guard = chaos::arm_global("espresso.iter", 0);
+        let faulted = client.submit(&JobRequest::new("f", JobKind::EncodeKiss, payload.clone()));
+        (faulted, chaos::global_times_fired())
+    };
+    assert!(fired > 0, "the armed fault never fired");
+    let faulted = faulted.expect("a faulted job still answers");
+    assert_eq!(faulted.response.status, Some(Status::Degraded), "{:?}", faulted.response);
+    assert!(faulted.response.body.get_str("codes").is_some(), "best-so-far codes");
+    let next = client
+        .submit(&JobRequest::new("n", JobKind::EncodeKiss, payload))
+        .expect("fault-free job");
+    assert_eq!(next.response.status, Some(Status::Ok), "{:?}", next.response);
+    for field in ["codes", "cubes", "satisfied", "evaluated"] {
+        assert_eq!(
+            next.response.body.get(field),
+            reference.response.body.get(field),
+            "{field}"
+        );
+    }
+    let stats = handle.shutdown();
+    assert_eq!((stats.store_hits, stats.store_misses), (0, 2), "a degraded answer was stored");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every answered job is exactly one of completed/degraded/rejected/failed.
 fn handle_stats_conservation(stats: &picola::server::ServerStats) -> bool {
     // With retries, rejected/failed may exceed the happy-path job count;
