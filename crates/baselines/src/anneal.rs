@@ -7,15 +7,18 @@
 //! placement on tangled instances, still blind to the cost of violated
 //! constraints.
 //!
-//! The anneal loop itself never minimizes (the objective is pure bit
-//! arithmetic over the codes); only the final encoding is priced through
-//! the cached evaluation pipeline
+//! The anneal loop itself never minimizes: the objective is pure bit
+//! arithmetic over the codes, kept by the incrementally maintained face
+//! table of [`crate::objective`], which prices a proposal by the faces it
+//! touches and commits an accepted one in place, bit-identical to a full
+//! rescan (so the RNG stream and every result are unchanged). Only the
+//! final encoding is priced through the cached evaluation pipeline
 //! ([`crate::objective::minimized_cubes`]), which returns bit-identical
 //! costs with the memo on or off (see the cache-parity test below).
 
-use crate::objective::satisfied_weight_codes;
+use crate::objective::FaceTable;
 use picola_constraints::{Encoding, GroupConstraint};
-use picola_core::{Budget, Completion, Encoder};
+use picola_core::{Budget, Completion, Encoder, RefineCand};
 use picola_logic::obs;
 use picola_constraints::min_code_length;
 use rand::rngs::StdRng;
@@ -81,67 +84,50 @@ impl Encoder for AnnealingEncoder {
         let nv = min_code_length(n);
         let size = 1usize << nv;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // The whole anneal runs on raw code buffers: `codes` is the current
-        // state, `cand` the reusable proposal buffer, `best_codes` the
-        // incumbent. Swaps permute codes and moves target free words, so
+        // The whole anneal runs on one incrementally maintained face table:
+        // it holds the current codes and their occupied words, prices each
+        // proposal by the faces it touches, and commits accepted ones in
+        // place. Swaps permute codes and moves target free words, so
         // distinctness holds by construction and no per-proposal
         // `Encoding::new` validation (an `O(2^nv)` scan plus allocation) is
         // needed — an `Encoding` is built once, at the end.
-        let mut codes: Vec<u32> = (0..n as u32).collect();
-        let mut obj = satisfied_weight_codes(&codes, nv, constraints);
-        let mut best_codes = codes.clone();
+        let mut table = FaceTable::build((0..n as u32).collect(), nv, constraints);
+        let mut obj = table.weight();
+        let mut best_codes = table.codes().to_vec();
         let mut best_obj = obj;
-        let mut cand: Vec<u32> = Vec::with_capacity(n);
         let mut temp = self.initial_temp;
-        // Occupied code words as a u64-word bitset, maintained
-        // incrementally: swaps leave it unchanged, accepted moves flip two
-        // bits. The natural start occupies 0..n.
         let mut accepted = 0u64;
         let mut rejected = 0u64;
-        let mut used: Vec<u64> = vec![0; size.div_ceil(64)];
-        for c in 0..n {
-            used[c / 64] |= 1u64 << (c % 64);
-        }
 
         'cool: for _ in 0..self.temp_steps {
             for _ in 0..self.moves_per_temp {
                 if !budget.tick("anneal.move", 1) {
                     break 'cool;
                 }
-                cand.clear();
-                cand.extend_from_slice(&codes);
-                // (old, new) word of a move proposal, to update `used` on
-                // acceptance; swaps don't change occupancy.
-                let mut moved: Option<(u32, u32)> = None;
-                if size > n && rng.random_bool(0.3) {
+                let cand = if size > n && rng.random_bool(0.3) {
                     // move a symbol to a free code word; exactly
                     // `size - n` words are free at all times
                     let i = rng.random_range(0..n);
-                    let w = nth_free_word(&used, size, rng.random_range(0..size - n));
-                    moved = Some((cand[i], w));
-                    cand[i] = w;
+                    let nth = rng.random_range(0..size - n);
+                    RefineCand::Move(i, nth_free_word(table.occupied_words(), size, nth))
                 } else {
                     let i = rng.random_range(0..n);
                     let mut j = rng.random_range(0..n);
                     while j == i {
                         j = rng.random_range(0..n);
                     }
-                    cand.swap(i, j);
-                }
-                let cand_obj = satisfied_weight_codes(&cand, nv, constraints);
+                    RefineCand::Swap(i, j)
+                };
+                let cand_obj = table.eval(cand);
                 let accept = cand_obj >= obj
                     || rng.random_range(0.0..1.0) < ((cand_obj - obj) / temp.max(1e-9)).exp();
                 if accept {
                     accepted += 1;
-                    if let Some((old, new)) = moved {
-                        used[old as usize / 64] &= !(1u64 << (old % 64));
-                        used[new as usize / 64] |= 1u64 << (new % 64);
-                    }
-                    std::mem::swap(&mut codes, &mut cand);
+                    table.apply(cand);
                     obj = cand_obj;
                     if obj > best_obj {
                         best_codes.clear();
-                        best_codes.extend_from_slice(&codes);
+                        best_codes.extend_from_slice(table.codes());
                         best_obj = obj;
                     }
                 } else {

@@ -11,15 +11,17 @@
 //! code-adjacency bonus derived from the machine's next-state structure.
 //!
 //! Unlike the ENC-style baseline, NOVA never minimizes inside its loop —
-//! the objective is pure bit arithmetic over the codes. Its *output* is
-//! priced through the cached evaluation pipeline
-//! ([`crate::objective::minimized_cubes`]) like every other encoder's, and
-//! that price is bit-identical whether the minimization memo is consulted
-//! or not (see the cache-parity test below).
+//! the objective is pure bit arithmetic over the codes, priced per
+//! candidate by the incrementally maintained face table of
+//! [`crate::objective`] at the cost of the faces a swap or move touches,
+//! bit-identical to a full rescan. Its *output* is priced through the
+//! cached evaluation pipeline ([`crate::objective::minimized_cubes`]) like
+//! every other encoder's, and that price is bit-identical whether the
+//! minimization memo is consulted or not (see the cache-parity test below).
 
-use crate::objective::{adjacency_bonus_codes, satisfied_weight_codes};
+use crate::objective::{adjacency_bonus_codes, FaceTable};
 use picola_constraints::{Encoding, GroupConstraint};
-use picola_core::{Budget, Completion, Encoder};
+use picola_core::{Budget, Completion, Encoder, RefineCand};
 use picola_constraints::min_code_length;
 
 /// Which NOVA flavour to emulate.
@@ -63,14 +65,22 @@ impl NovaEncoder {
         }
     }
 
-    /// The objective over a raw codes slice — the improvement loop's
-    /// zero-allocation evaluation (no `Encoding::new` per candidate).
-    fn objective_codes(&self, codes: &[u32], nv: usize, constraints: &[GroupConstraint]) -> f64 {
-        let base = satisfied_weight_codes(codes, nv, constraints);
+    /// The objective after `cand`: the table's satisfied weight, plus for
+    /// `io_hybrid` half the adjacency bonus over a patched copy of the codes
+    /// in `cand_codes`. The bonus weights are not integers, so it is summed
+    /// from scratch in the reference order rather than incrementally.
+    fn objective(&self, table: &FaceTable, cand: RefineCand, cand_codes: &mut Vec<u32>) -> f64 {
+        let base = table.eval(cand);
         match self.mode {
             NovaMode::IHybrid => base,
             NovaMode::IoHybrid => {
-                base + 0.5 * adjacency_bonus_codes(codes, nv, &self.adjacency)
+                cand_codes.clear();
+                cand_codes.extend_from_slice(table.codes());
+                match cand {
+                    RefineCand::Swap(i, j) => cand_codes.swap(i, j),
+                    RefineCand::Move(i, w) => cand_codes[i] = w,
+                }
+                base + 0.5 * adjacency_bonus_codes(cand_codes, table.nv(), &self.adjacency)
             }
         }
     }
@@ -228,26 +238,27 @@ impl Encoder for NovaEncoder {
         let placed = greedy_place(n, nv, constraints, budget);
         // Greedy placement yields distinct codes; fall back to the natural
         // codes if that invariant ever breaks rather than panicking. The
-        // improvement loop then runs entirely on raw code buffers — a
-        // reusable candidate vector and an incrementally maintained
-        // occupancy bitset — so no per-candidate allocation or `O(2^nv)`
-        // `Encoding::new` validation happens; the `Encoding` is built once
-        // at the end.
-        let mut codes = match Encoding::new(nv, placed) {
+        // improvement loop then prices every candidate through one
+        // incrementally maintained face table (no per-candidate copy of the
+        // codes for `i_hybrid`, no `Encoding::new` validation); the
+        // `Encoding` is built once at the end.
+        let codes = match Encoding::new(nv, placed) {
             Ok(e) => e.into_codes(),
             Err(_) => (0..n as u32).collect(),
         };
         let size = 1usize << nv;
-        let mut used: Vec<u64> = vec![0; size.div_ceil(64)];
-        for &c in &codes {
-            used[c as usize / 64] |= 1u64 << (c % 64);
-        }
-        let mut cand: Vec<u32> = Vec::with_capacity(n);
+        let mut table = FaceTable::build(codes, nv, constraints);
+        let mut cand_codes: Vec<u32> = Vec::new();
 
         // Iterative improvement: symbol-symbol code swaps and moves onto
         // free code words, steepest ascent per pass. One `nova.improve`
         // tick per candidate; exhaustion keeps the current (valid) best.
-        let mut best_obj = self.objective_codes(&codes, nv, constraints);
+        let mut best_obj = match self.mode {
+            NovaMode::IHybrid => table.weight(),
+            NovaMode::IoHybrid => {
+                table.weight() + 0.5 * adjacency_bonus_codes(table.codes(), nv, &self.adjacency)
+            }
+        };
         'improve: for _ in 0..self.max_passes.max(1) {
             let mut improved = false;
             // swaps
@@ -256,12 +267,10 @@ impl Encoder for NovaEncoder {
                     if !budget.tick("nova.improve", 1) {
                         break 'improve;
                     }
-                    cand.clear();
-                    cand.extend_from_slice(&codes);
-                    cand.swap(i, j);
-                    let obj = self.objective_codes(&cand, nv, constraints);
+                    let cand = RefineCand::Swap(i, j);
+                    let obj = self.objective(&table, cand, &mut cand_codes);
                     if obj > best_obj + 1e-9 {
-                        std::mem::swap(&mut codes, &mut cand);
+                        table.apply(cand);
                         best_obj = obj;
                         improved = true;
                     }
@@ -270,22 +279,17 @@ impl Encoder for NovaEncoder {
             // moves to free codes (recheck freeness against the current
             // codes — earlier accepted moves change them)
             for i in 0..n {
-                for w in 0..size {
-                    if used[w / 64] >> (w % 64) & 1 == 1 {
+                for w in 0..size as u32 {
+                    if !table.is_free(w) {
                         continue;
                     }
                     if !budget.tick("nova.improve", 1) {
                         break 'improve;
                     }
-                    cand.clear();
-                    cand.extend_from_slice(&codes);
-                    let old = cand[i];
-                    cand[i] = w as u32;
-                    let obj = self.objective_codes(&cand, nv, constraints);
+                    let cand = RefineCand::Move(i, w);
+                    let obj = self.objective(&table, cand, &mut cand_codes);
                     if obj > best_obj + 1e-9 {
-                        std::mem::swap(&mut codes, &mut cand);
-                        used[old as usize / 64] &= !(1u64 << (old % 64));
-                        used[w / 64] |= 1u64 << (w % 64);
+                        table.apply(cand);
                         best_obj = obj;
                     }
                 }
@@ -296,7 +300,7 @@ impl Encoder for NovaEncoder {
         }
         // Swaps and moves-to-free-words keep codes distinct; fall back to
         // the natural encoding rather than panic if that ever breaks.
-        let enc = Encoding::new(nv, codes).unwrap_or_else(|_| Encoding::natural(n));
+        let enc = Encoding::new(nv, table.into_codes()).unwrap_or_else(|_| Encoding::natural(n));
         (enc, budget.completion())
     }
 }

@@ -668,8 +668,15 @@ impl Solver {
                     }
                 }
             }
+            // Moved watches only go to non-false literals, never to `fl`, so
+            // its slot is still the empty `Vec` `take` left: put the list
+            // back, allocation and all, instead of appending a copy.
             ws.truncate(kept);
-            self.watches[fl.index()].append(&mut ws);
+            debug_assert!(
+                self.watches[fl.index()].is_empty(),
+                "watch pushed onto a false literal"
+            );
+            self.watches[fl.index()] = ws;
             if conflict.is_some() {
                 self.qhead = self.trail.len();
                 return conflict;

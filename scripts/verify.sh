@@ -35,6 +35,12 @@ echo "== cargo test (workspace)"
 # — do not check regression files in.
 cargo test -q --offline --workspace
 
+echo "== perfbench build and tests"
+# perfbench/ is its own workspace with path dependencies on the library, so
+# the workspace test run above does not build it. Its tests pin the
+# benchmark's member line-up and answer checks against the library.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
