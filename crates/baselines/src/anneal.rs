@@ -81,6 +81,11 @@ impl Encoder for AnnealingEncoder {
         constraints: &[GroupConstraint],
         budget: &Budget,
     ) -> (Encoding, Completion) {
+        // Below two symbols there is nothing to swap, and a swap proposal
+        // would spin looking for a second symbol.
+        if n < 2 {
+            return (Encoding::natural(n), budget.completion());
+        }
         let nv = min_code_length(n);
         let size = 1usize << nv;
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -234,6 +239,16 @@ mod tests {
             AnnealingEncoder::default().encode_bounded(8, &cs, &Budget::unlimited());
         assert_eq!(enc.num_symbols(), 8);
         assert!(matches!(completion, Completion::Degraded { .. }));
+    }
+
+    #[test]
+    fn fewer_than_two_symbols_return_the_natural_encoding() {
+        use picola_core::Budget;
+        for n in [0usize, 1] {
+            let (enc, _) =
+                AnnealingEncoder::default().encode_bounded(n, &[], &Budget::with_work_limit(1000));
+            assert_eq!(enc, Encoding::natural(n), "n = {n}");
+        }
     }
 
     #[test]

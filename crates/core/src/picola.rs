@@ -247,8 +247,10 @@ const REFINE_CHUNK: usize = 64;
 /// enumeration resumes right after it against the new state. Chunk
 /// evaluation runs on `threads` workers when `threads > 1`, each with its
 /// own long-lived [`RefineScratch`], with **bit-identical** results for any
-/// thread count: the evaluation is pure and the applied candidate is
-/// chosen by enumeration order, never by completion order.
+/// thread count: the evaluation is exact (each scratch's term memo only
+/// saves work) and the applied candidate is chosen by enumeration order,
+/// never by completion order. On one worker a chunk stops at its first
+/// improving candidate.
 ///
 /// Budget-aware: each chunk ticks `"picola.refine"` by the number of
 /// candidates it holds; on exhaustion the current (always valid) encoding
@@ -329,9 +331,14 @@ fn refine(
                     }
                 });
             } else {
+                // The first improvement ends the chunk: the selection below
+                // stops at that slot and never reads the stale ones after it.
                 let scratch = &mut scratches[0];
                 for (t, out) in results[..chunk.len()].iter_mut().enumerate() {
                     *out = table.eval(chunk[t].1, scratch);
+                    if *out < 0 {
+                        break;
+                    }
                 }
             }
 
@@ -360,6 +367,13 @@ fn refine(
             break;
         }
     }
+    // Rayon workers have no current recorder, so the per-worker memo
+    // tallies are recorded here, once, under the `refine` span.
+    let (reused, priced) = scratches.iter().fold((0, 0), |(r, p), s| {
+        (r + s.terms_reused(), p + s.terms_priced())
+    });
+    obs::count(obs::Counter::RefineTermsReused, reused);
+    obs::count(obs::Counter::RefineTermsPriced, priced);
     // Swaps and moves-to-free-words keep codes distinct by construction;
     // fall back to the input encoding rather than panic if not.
     Encoding::new(nv, table.into_codes()).unwrap_or(enc)

@@ -21,11 +21,18 @@
 //! greedy cover count depends only on the order of the uncovered member
 //! codes, and the cached lists preserve ascending symbol order under
 //! in-place patching.
+//!
+//! Each worker's scratch also memoizes *constraint terms* — one touched
+//! constraint's greedy count under one candidate, keyed by exactly what
+//! that count depends on ([`Term`]) — so a term priced once answers again
+//! until the constraint's member codes change or an applied move lands
+//! inside the term's patched supercube (DESIGN.md §12).
 
 use crate::eval::{greedy_cover_count, CubesScratch};
 use picola_constraints::{CodeCube, GroupConstraint};
 use picola_logic::simd::{self, Mask1, Mask2, MaskKernel, MaskN};
 use picola_logic::WordSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A refinement candidate: swap two symbols' codes, or move one symbol to
 /// a (currently free) code word.
@@ -129,6 +136,80 @@ impl Iterator for CandCursor {
     }
 }
 
+/// What one touched constraint's greedy count depends on under a
+/// candidate, besides the constraint's member codes and the occupied words
+/// inside the term's patched supercube (its `psc`). Every greedy merge cube
+/// lies inside `psc`, so no forbidden code outside it can change the count.
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    /// The member at list slot `p` takes word `x`: a swap with the
+    /// non-member at `x` (`x` occupied, the member's old code becomes
+    /// forbidden) or a move to `x` (`x` free, the old code becomes free).
+    /// `psc` is the supercube of the patched member list.
+    Member { p: usize, x: u32 },
+    /// The members at list slots `a < b` exchange codes. `psc` is the
+    /// supercube.
+    Pair { a: usize, b: usize },
+    /// A non-member leaves `old` for a word outside the supercube. `psc` is
+    /// the supercube.
+    Drop(u32),
+    /// A non-member enters `new` from a word outside the supercube. `psc`
+    /// is the supercube.
+    Add(u32),
+}
+
+/// Index bits a term's memo slot keeps when the slot array is at its cap:
+/// at most `2^16` slots of 12 bytes, under 1 MB per worker at any `nv`.
+const MEMO_SLOT_BITS: u32 = 16;
+
+/// Largest dense term count a table keys: the slot tag holds the index
+/// bits above [`MEMO_SLOT_BITS`], plus one, in a `u32`.
+const MEMO_TERMS_MAX: u64 = 1 << (MEMO_SLOT_BITS + 31);
+
+/// One memoized term.
+#[derive(Debug, Clone, Copy, Default)]
+struct TermSlot {
+    /// `(dense index >> MEMO_SLOT_BITS) + 1`: the index bits the slot
+    /// position does not fix. 0 marks an empty slot.
+    tag: u32,
+    /// Table clock at which `count` was priced.
+    stamp: u32,
+    /// The term's greedy cube count.
+    count: u32,
+}
+
+/// A worker's memo of constraint terms, for one [`CodeTable`] at a time.
+#[derive(Debug, Clone, Default)]
+struct TermMemo {
+    /// Identity of the table whose terms `slots` hold; 0 before first use.
+    table: u64,
+    /// Indexed by the dense term index masked to the length, a power of two.
+    slots: Vec<TermSlot>,
+}
+
+impl TermMemo {
+    /// Empties the memo for `table` unless it already holds that table's
+    /// terms, sizing it for `terms` dense indices.
+    fn bind(&mut self, table: u64, terms: u64) {
+        if self.table != table {
+            self.table = table;
+            let len = terms.next_power_of_two().min(1 << MEMO_SLOT_BITS);
+            self.slots.clear();
+            self.slots.resize(len as usize, TermSlot::default());
+        }
+    }
+
+    /// Slot position and tag of dense index `dense` (below
+    /// [`MEMO_TERMS_MAX`]).
+    fn locate(&self, dense: u64) -> (usize, u32) {
+        let pos = dense & (self.slots.len() as u64 - 1);
+        (pos as usize, ((dense >> MEMO_SLOT_BITS) + 1) as u32)
+    }
+}
+
+/// Source of [`CodeTable`] identities.
+static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Reusable per-worker buffers for candidate evaluation. One instance per
 /// worker thread: after warm-up, neither engine allocates per candidate.
 #[derive(Debug, Clone, Default)]
@@ -146,6 +227,12 @@ pub struct RefineScratch {
     cube_mask: Vec<u64>,
     /// Trial-expansion buffer for the multi-word masked greedy.
     cube_trial: Vec<u64>,
+    /// Constraint terms priced against the last table evaluated.
+    memo: TermMemo,
+    /// Terms answered from `memo`.
+    terms_reused: u64,
+    /// Terms whose count was computed (memo misses and unkeyed terms).
+    terms_priced: u64,
 }
 
 impl RefineScratch {
@@ -153,6 +240,21 @@ impl RefineScratch {
     #[must_use]
     pub fn new() -> RefineScratch {
         RefineScratch::default()
+    }
+
+    /// Constraint terms [`CodeTable::eval`] answered from this scratch's
+    /// memo, over the scratch's lifetime.
+    #[must_use]
+    pub fn terms_reused(&self) -> u64 {
+        self.terms_reused
+    }
+
+    /// Constraint terms whose count [`CodeTable::eval`] computed through
+    /// this scratch. Terms settled by the zero-intruder fast path count as
+    /// neither reused nor priced.
+    #[must_use]
+    pub fn terms_priced(&self) -> u64 {
+        self.terms_priced
     }
 
     /// The touched-set buffer, cleared and sized for `num_constraints`.
@@ -195,6 +297,13 @@ struct ConstraintCache {
     intruders: usize,
     /// Greedy cube count under the current codes.
     cost: usize,
+    /// Table clock of the last application that changed a member's code.
+    stamp: u32,
+    /// First dense index of this constraint's memo terms. With `m`
+    /// members and `2^nv = size` words the constraint owns
+    /// `(m + 2) · size + m²` indices: `Member` terms, then `Drop`, `Add`
+    /// and `Pair`.
+    memo_base: u64,
 }
 
 /// Incrementally maintained evaluation state for the refine hill-climb:
@@ -206,7 +315,10 @@ struct ConstraintCache {
 /// ([`CodeTable::eval`]) and application ([`CodeTable::apply`]) then cost
 /// `O(moved symbols)` bookkeeping plus greedy-cover work on the touched
 /// constraints only.
-#[derive(Debug, Clone)]
+///
+/// Not `Clone`: each table has its own identity, and a scratch's term memo
+/// answers only for the table that filled it.
+#[derive(Debug)]
 pub struct CodeTable {
     nv: usize,
     codes: Vec<u32>,
@@ -215,6 +327,26 @@ pub struct CodeTable {
     membership: Vec<WordSet>,
     /// Occupied code words over the `2^nv` space.
     occupied: WordSet,
+    /// Identity for the scratch memos, unique per `build`.
+    id: u64,
+    /// Applications so far; a memo entry records the clock it was priced at.
+    clock: u32,
+    /// `(clock, old, new)` of every applied move, in order.
+    moves: Vec<(u32, u32, u32)>,
+    /// Dense memo term indices of all constraints; `None` when they would
+    /// not fit [`MEMO_TERMS_MAX`], and then no term is memoized.
+    terms: Option<u64>,
+}
+
+/// The cube spanned by codes whose bitwise AND is `and` and OR is `or`.
+fn cube_of(and: u32, or: u32, nv: usize) -> CodeCube {
+    let full = ((1u64 << nv) - 1) as u32;
+    let fixed = full & !(and ^ or);
+    CodeCube {
+        fixed,
+        values: and & fixed,
+        nv,
+    }
 }
 
 /// The supercube of a list of codes; the full cube when the list is empty
@@ -234,13 +366,7 @@ fn supercube_of(codes: &[u32], nv: usize) -> CodeCube {
         and &= c;
         or |= c;
     }
-    let full = ((1u64 << nv) - 1) as u32;
-    let fixed = full & !(and ^ or);
-    CodeCube {
-        fixed,
-        values: and & fixed,
-        nv,
-    }
+    cube_of(and, or, nv)
 }
 
 /// Greedy cube count over prepared lists, with the satisfied-face fast
@@ -378,6 +504,8 @@ impl CodeTable {
             occupied.insert(c as usize);
         }
         let mut caches = Vec::with_capacity(active.len());
+        // Saturating sums are exact whenever the total stays in range.
+        let mut terms = 0u64;
         for (k, c) in active.iter().enumerate() {
             let mut members = Vec::with_capacity(c.len());
             let mut forbidden = Vec::with_capacity(n.saturating_sub(c.len()));
@@ -399,6 +527,13 @@ impl CodeTable {
             scratch.cubes.uncovered.clear();
             scratch.cubes.uncovered.extend_from_slice(&members);
             let cost = covered_count_fast(&mut scratch.cubes.uncovered, &forbidden, nv);
+            let m = members.len() as u64;
+            let memo_base = terms;
+            terms = terms.saturating_add(
+                (m + 2)
+                    .saturating_mul(size as u64)
+                    .saturating_add(m.saturating_mul(m)),
+            );
             caches.push(ConstraintCache {
                 members,
                 forbidden,
@@ -407,6 +542,8 @@ impl CodeTable {
                 supercube,
                 intruders,
                 cost,
+                stamp: 0,
+                memo_base,
             });
         }
         CodeTable {
@@ -415,6 +552,10 @@ impl CodeTable {
             caches,
             membership,
             occupied,
+            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
+            clock: 0,
+            moves: Vec::new(),
+            terms: (terms <= MEMO_TERMS_MAX).then_some(terms),
         }
     }
 
@@ -478,6 +619,77 @@ impl CodeTable {
         }
     }
 
+    /// The memo term of constraint `cache` under `moved`, or `None` when
+    /// it is not keyed: a non-member move with both words inside the
+    /// supercube.
+    fn term_of(cache: &ConstraintCache, moved: &[(usize, u32, u32)]) -> Option<Term> {
+        let member = |s: usize| (cache.slot[s] & 1 == 1).then_some((cache.slot[s] >> 1) as usize);
+        match *moved {
+            [(i, _, xi), (j, _, xj)] => match (member(i), member(j)) {
+                (Some(a), Some(b)) => Some(Term::Pair {
+                    a: a.min(b),
+                    b: a.max(b),
+                }),
+                (Some(p), None) => Some(Term::Member { p, x: xi }),
+                (None, Some(p)) => Some(Term::Member { p, x: xj }),
+                (None, None) => None,
+            },
+            [(s, old, new)] => match member(s) {
+                Some(p) => Some(Term::Member { p, x: new }),
+                None if !cache.supercube.contains(new) => Some(Term::Drop(old)),
+                None if !cache.supercube.contains(old) => Some(Term::Add(new)),
+                None => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Dense memo index of `term` on constraint `cache` (for a table that
+    /// keys terms, so every index is below [`MEMO_TERMS_MAX`]).
+    fn dense(&self, cache: &ConstraintCache, term: Term) -> u64 {
+        let size = 1u64 << self.nv;
+        let m = cache.members.len() as u64;
+        cache.memo_base
+            + match term {
+                Term::Member { p, x } => p as u64 * size + u64::from(x),
+                Term::Drop(old) => m * size + u64::from(old),
+                Term::Add(new) => (m + 1) * size + u64::from(new),
+                Term::Pair { a, b } => (m + 2) * size + a as u64 * m + b as u64,
+            }
+    }
+
+    /// Whether a count of `term` priced at clock `stamp` still holds: no
+    /// member code of the constraint changed since, and no move since
+    /// vacated or entered a word of the term's patched supercube.
+    fn still_holds(&self, cache: &ConstraintCache, term: Term, stamp: u32) -> bool {
+        if cache.stamp > stamp {
+            return false;
+        }
+        let mut since = self
+            .moves
+            .iter()
+            .rev()
+            .take_while(|m| m.0 > stamp)
+            .peekable();
+        if since.peek().is_none() {
+            return true;
+        }
+        let psc = match term {
+            Term::Member { p, x } => {
+                let (mut and, mut or) = (x, x);
+                for (q, &c) in cache.members.iter().enumerate() {
+                    if q != p {
+                        and &= c;
+                        or |= c;
+                    }
+                }
+                cube_of(and, or, self.nv)
+            }
+            Term::Pair { .. } | Term::Drop(_) | Term::Add(_) => cache.supercube,
+        };
+        since.all(|&(_, old, new)| !psc.contains(old) && !psc.contains(new))
+    }
+
     /// Cost delta of applying `cand`, evaluated **read-only** off the
     /// cached lists: per touched constraint, the moved entries are patched
     /// into a scratch copy of the cached member list (preserving ascending
@@ -489,6 +701,11 @@ impl CodeTable {
     /// mask intersection — so no `O(n)` forbidden list is ever copied or
     /// scanned. Zero heap allocation once `scratch` is warm; candidates
     /// touching no constraint return 0 without any greedy work.
+    ///
+    /// Each touched constraint's count is first looked up in the scratch's
+    /// term memo, and a computed count is stored there; the memo is exact,
+    /// so results do not depend on which scratch evaluates. `cand` must be
+    /// valid for the current codes: a move's target word is free.
     #[must_use]
     pub fn eval(&self, cand: RefineCand, scratch: &mut RefineScratch) -> i64 {
         let mut buf = [(0usize, 0u32, 0u32); 2];
@@ -500,6 +717,9 @@ impl CodeTable {
         if masked {
             scratch.code_space_for(size);
         }
+        if let Some(terms) = self.terms {
+            scratch.memo.bind(self.id, terms);
+        }
         let RefineScratch {
             cubes,
             touched,
@@ -507,7 +727,9 @@ impl CodeTable {
             forbidden_words,
             cube_mask,
             cube_trial,
-            ..
+            memo,
+            terms_reused,
+            terms_priced,
         } = scratch;
         let mut delta = 0i64;
         for k in touched.iter_ones() {
@@ -530,6 +752,20 @@ impl CodeTable {
                 delta += 1 - cache.cost as i64;
                 continue;
             }
+            // The term's memo slot and tag, when the term is keyed.
+            let key = match (self.terms, Self::term_of(cache, moved)) {
+                (Some(_), Some(term)) => Some((term, memo.locate(self.dense(cache, term)))),
+                _ => None,
+            };
+            if let Some((term, (pos, tag))) = key {
+                let e = memo.slots[pos];
+                if e.tag == tag && self.still_holds(cache, term, e.stamp) {
+                    *terms_reused += 1;
+                    delta += i64::from(e.count) - cache.cost as i64;
+                    continue;
+                }
+            }
+            *terms_priced += 1;
             cubes.uncovered.clear();
             cubes.uncovered.extend_from_slice(&cache.members);
             for &(s, _, new) in moved {
@@ -608,6 +844,13 @@ impl CodeTable {
                     covered_count_fast(&mut cubes.uncovered, &cubes.forbidden, self.nv)
                 }
             };
+            if let Some((_, (pos, tag))) = key {
+                memo.slots[pos] = TermSlot {
+                    tag,
+                    stamp: self.clock,
+                    count: count as u32,
+                };
+            }
             delta += count as i64 - cache.cost as i64;
         }
         delta
@@ -617,6 +860,9 @@ impl CodeTable {
     /// and every constraint's slot-mapped list entries are patched in
     /// `O(moved symbols · constraints)` word work; supercube and cost are
     /// then refreshed for the touched constraints only.
+    ///
+    /// For the term memos, the application advances the clock, stamps
+    /// every constraint that holds a moved symbol, and logs a move.
     pub fn apply(&mut self, cand: RefineCand, scratch: &mut RefineScratch) {
         let mut buf = [(0usize, 0u32, 0u32); 2];
         let m = moved_entries(cand, &self.codes, &mut buf);
@@ -625,9 +871,24 @@ impl CodeTable {
         // as eval saw them.
         self.collect_touched(moved, scratch);
 
+        self.clock = match self.clock.checked_add(1) {
+            Some(c) => c,
+            None => {
+                // A wrapped clock would revive stale entries: take a new
+                // identity instead, which empties every memo on its next use.
+                self.id = NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed);
+                self.moves.clear();
+                for cache in &mut self.caches {
+                    cache.stamp = 0;
+                }
+                1
+            }
+        };
+        let clock = self.clock;
         match cand {
             RefineCand::Swap(i, j) => self.codes.swap(i, j),
             RefineCand::Move(i, w) => {
+                self.moves.push((clock, self.codes[i], w));
                 self.occupied.remove(self.codes[i] as usize);
                 self.occupied.insert(w as usize);
                 self.codes[i] = w;
@@ -643,6 +904,7 @@ impl CodeTable {
                 if e & 1 == 1 {
                     cache.members[(e >> 1) as usize] = new;
                     cache.member_words.remove(old as usize);
+                    cache.stamp = clock;
                 } else {
                     cache.forbidden[(e >> 1) as usize] = new;
                 }

@@ -65,7 +65,6 @@ pub mod equiv;
 pub mod error;
 pub mod exact;
 pub mod flat;
-pub mod measure;
 pub mod mv_pla;
 pub mod obs;
 pub mod pla;
@@ -93,7 +92,6 @@ pub use flat::{
     cube_is_valid, flat_espresso, flat_espresso_bounded, flat_espresso_with, FlatDomain,
     MinimizeOptions, MinimizeScratch,
 };
-pub use measure::{cover_density, cover_minterms, cube_minterms};
 pub use mv_pla::{parse_mv_pla, parse_mv_pla_with, write_mv_pla};
 pub use obs::{Counter, Recorder, SpanSnapshot, Trace};
 pub use pla::{parse_pla, parse_pla_with, write_pla, Pla, PlaType};

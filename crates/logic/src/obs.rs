@@ -19,7 +19,10 @@
 //! data-parallel evaluation workers), so the rendered span/counter tree is
 //! byte-identical for any `--threads` setting. Wall time is collected only
 //! when the trace is created with [`Trace::with_wall_clock`] and only
-//! surfaces in [`Trace::to_json`].
+//! surfaces in [`Trace::to_json`]. The same holds for the few counters
+//! whose values depend on how work is split across workers
+//! ([`Counter::depends_on_workers`]): snapshots and JSON carry them, renders
+//! leave them out.
 //!
 //! ## Recording model
 //!
@@ -81,13 +84,21 @@ pub enum Counter {
     GuidesAdded,
     /// Candidate dichotomy gain evaluations inside `solve_column`.
     DichotomyEvals,
-    /// Candidate flips evaluated by the PICOLA refine loop.
+    /// Candidate flips the PICOLA refine loop considered: every valid
+    /// candidate of every chunk it ticked, whether evaluated or skipped
+    /// after the chunk's first improvement.
     RefineEvals,
     /// Refine flips accepted (first-improvement applications).
     RefineAccepts,
     /// Refine flips evaluated and rejected before an accept (or in a
     /// chunk that produced no improvement).
     RefineRejects,
+    /// Refine constraint terms answered from a worker's term memo. Depends
+    /// on the worker count ([`Counter::depends_on_workers`]).
+    RefineTermsReused,
+    /// Refine constraint terms whose greedy cube count was computed.
+    /// Depends on the worker count ([`Counter::depends_on_workers`]).
+    RefineTermsPriced,
     /// Simulated-annealing moves accepted.
     AnnealAccepts,
     /// Simulated-annealing moves rejected.
@@ -145,6 +156,8 @@ impl Counter {
         Counter::RefineEvals,
         Counter::RefineAccepts,
         Counter::RefineRejects,
+        Counter::RefineTermsReused,
+        Counter::RefineTermsPriced,
         Counter::AnnealAccepts,
         Counter::AnnealRejects,
         Counter::FaultsInjected,
@@ -176,6 +189,8 @@ impl Counter {
             Counter::RefineEvals => "refine_evals",
             Counter::RefineAccepts => "refine_accepts",
             Counter::RefineRejects => "refine_rejects",
+            Counter::RefineTermsReused => "refine_terms_reused",
+            Counter::RefineTermsPriced => "refine_terms_priced",
             Counter::AnnealAccepts => "anneal_accepts",
             Counter::AnnealRejects => "anneal_rejects",
             Counter::FaultsInjected => "faults_injected",
@@ -189,6 +204,17 @@ impl Counter {
             Counter::SatPropagations => "sat_propagations",
             Counter::SatConflicts => "sat_conflicts",
         }
+    }
+
+    /// Whether the counter's value depends on how work is split across
+    /// workers, not only on the job: each refine worker memoizes the terms
+    /// it prices, and one worker stops a chunk at its first improvement.
+    /// Renders leave these counters out.
+    pub fn depends_on_workers(self) -> bool {
+        matches!(
+            self,
+            Counter::RefineTermsReused | Counter::RefineTermsPriced
+        )
     }
 }
 
@@ -236,7 +262,8 @@ impl SpanSnapshot {
             .sum::<u64>()
     }
 
-    /// This span (and descendants) as indented deterministic text.
+    /// This span (and descendants) as indented deterministic text: wall
+    /// time and the counters that depend on the worker count are left out.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(0, &mut out);
@@ -261,9 +288,18 @@ impl SpanSnapshot {
             }
             out.push(']');
         }
-        if !self.counters.is_empty() {
+        let mut counters = self
+            .counters
+            .iter()
+            .filter(|&&(name, _)| {
+                !Counter::ALL
+                    .iter()
+                    .any(|c| c.depends_on_workers() && c.name() == name)
+            })
+            .peekable();
+        if counters.peek().is_some() {
             out.push_str(" counters[");
-            for (i, (name, v)) in self.counters.iter().enumerate() {
+            for (i, (name, v)) in counters.enumerate() {
                 if i > 0 {
                     out.push(' ');
                 }
@@ -822,6 +858,30 @@ mod tests {
             let _span = plain.recorder().span("timed");
         }
         assert!(!plain.to_json().contains("wall_ms"));
+    }
+
+    #[test]
+    fn render_excludes_worker_dependent_counters_and_json_keeps_them() {
+        let trace = Trace::new();
+        {
+            let s = trace.recorder().span("refine");
+            s.recorder().add(Counter::RefineTermsReused, 3);
+            s.recorder().add(Counter::RefineTermsPriced, 4);
+        }
+        assert_eq!(trace.render(), "trace\n  refine\n");
+        {
+            let s = trace.recorder().span("more");
+            s.recorder().add(Counter::RefineTermsPriced, 1);
+            s.recorder().add(Counter::RefineEvals, 2);
+        }
+        assert_eq!(
+            trace.render(),
+            "trace\n  refine\n  more counters[refine_evals=2]\n"
+        );
+        let json = trace.to_json();
+        assert!(json.contains("\"refine_terms_reused\":3"), "{json}");
+        assert!(json.contains("\"refine_terms_priced\":4"), "{json}");
+        assert_eq!(trace.counter_total(Counter::RefineTermsPriced), 5);
     }
 
     #[test]

@@ -62,7 +62,8 @@ With `--baseline`, every (instance, encoder) pair present in both reports
 is compared on `work` — the deterministic obs counter total, immune to
 machine noise unlike wall time. The check fails if any pair's work grew by
 more than `--max-regress` (default 0.20, i.e. +20%). Zero overlapping
-pairs is a warning, not a failure (e.g. comparing different tiers). When
+pairs is a failure: a baseline of another tier (different instance names)
+would otherwise pass while comparing nothing. When
 both reports carry a `totals.sat` block, each encoder's `total_gap` to the
 proven optima must additionally not grow at all — the corpus and the
 optima are deterministic, so any growth is a real heuristic regression.
@@ -373,8 +374,9 @@ def main() -> int:
             print(f"check_bench_metrics: {err}", file=sys.stderr)
             return 1
         if matched == 0:
-            print("check_bench_metrics: warning: no overlapping "
-                  "(instance, encoder) pairs with the baseline", file=sys.stderr)
+            print("check_bench_metrics: no overlapping (instance, encoder) "
+                  f"pairs with the baseline {baseline_path}", file=sys.stderr)
+            return 1
 
     refined = sum(1 for i in instances if i.get("refine"))
     msg = (f"check_bench_metrics: OK ({len(instances)} instances, "

@@ -353,6 +353,20 @@ fn read_fsm(path: &str) -> Result<picola::fsm::Fsm, AppError> {
     parse_kiss(path, &text).map_err(|e| AppError::Parse(e.to_string()))
 }
 
+/// [`read_fsm`] for the commands that encode the states (`encode`, `sat`,
+/// `assign`, `portfolio`): a machine of fewer than two states gets the
+/// same invalid-input answer from each of them, before any work runs.
+fn read_encodable_fsm(path: &str) -> Result<picola::fsm::Fsm, AppError> {
+    let fsm = read_fsm(path)?;
+    let n = fsm.num_states();
+    if n < 2 {
+        return Err(AppError::Invalid(format!(
+            "need at least two symbols, got {n}"
+        )));
+    }
+    Ok(fsm)
+}
+
 /// Emits the status comment for a (possibly degraded) run. Goes to stdout
 /// so the marker travels with the result; `#` lines are comments in every
 /// format the tool emits.
@@ -364,7 +378,7 @@ fn print_status(completion: Completion) -> Result<(), AppError> {
 }
 
 fn cmd_encode(cli: &Cli) -> Result<(), AppError> {
-    let fsm = read_fsm(&cli.target)?;
+    let fsm = read_encodable_fsm(&cli.target)?;
     let n = fsm.num_states();
     outln(&format!("# {fsm}"))?;
     outln(&format!("# minimum code length: {} bits", min_code_length(n)))?;
@@ -394,7 +408,7 @@ fn cmd_encode(cli: &Cli) -> Result<(), AppError> {
 }
 
 fn cmd_sat(cli: &Cli) -> Result<(), AppError> {
-    let fsm = read_fsm(&cli.target)?;
+    let fsm = read_encodable_fsm(&cli.target)?;
     let n = fsm.num_states();
     outln(&format!("# {fsm}"))?;
     outln(&format!("# minimum code length: {} bits", min_code_length(n)))?;
@@ -468,7 +482,7 @@ fn cmd_sat(cli: &Cli) -> Result<(), AppError> {
 }
 
 fn cmd_assign(cli: &Cli) -> Result<(), AppError> {
-    let fsm = read_fsm(&cli.target)?;
+    let fsm = read_encodable_fsm(&cli.target)?;
     let tool = PicolaStateEncoder::for_fsm(&fsm);
     let r = assign_states_bounded(&fsm, &tool, &FlowOptions::default(), &cli.budget);
     errln(&format!(
@@ -501,7 +515,7 @@ fn cmd_assign(cli: &Cli) -> Result<(), AppError> {
 }
 
 fn cmd_portfolio(cli: &Cli) -> Result<(), AppError> {
-    let fsm = read_fsm(&cli.target)?;
+    let fsm = read_encodable_fsm(&cli.target)?;
     let n = fsm.num_states();
     let constraints = extract_constraints(&symbolic_cover(&fsm));
     let portfolio = picola::baselines::standard_portfolio(0).with_threads(cli.threads);

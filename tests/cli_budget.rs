@@ -113,6 +113,20 @@ fn exit_codes_distinguish_failure_classes() {
 }
 
 #[test]
+fn one_state_machines_are_invalid_input_for_every_encoding_command() {
+    let one = write_temp("one.kiss2", ".i 1\n.o 1\n.r s0\n0 s0 s0 0\n1 s0 s0 1\n.e\n");
+    for cmd in ["encode", "sat", "assign", "portfolio"] {
+        let out = picola(&["--budget-work", "100", cmd, one.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(5), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("need at least two symbols, got 1"),
+            "{cmd}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn closed_output_pipe_exits_zero() {
     // `picola ... | head` — the consumer walking away is a normal way to
     // stop reading; it must end the run with exit 0, never a panic.
